@@ -76,12 +76,21 @@ def load_checkpoint(path: str | Path) -> tuple[SegETNetwork, dict]:
     (hlen,) = struct.unpack_from("<Q", raw, 8)
     if 16 + hlen > len(raw):
         raise DataFormatError(f"{path}: truncated header ({hlen} bytes declared)")
-    header = json.loads(raw[16 : 16 + hlen].decode("utf-8"))
-    config = NetworkConfig.from_dict(header["config"])
+    try:
+        header = json.loads(raw[16 : 16 + hlen].decode("utf-8"))
+        config = NetworkConfig.from_dict(header["config"])
+        manifest = [(m["name"], tuple(m["shape"])) for m in header["arrays"]]
+        code = header["dtype"]
+        bn_updates = {n: int(k) for n, k in header["bn_updates"].items()}
+        meta = {"epoch": header["epoch"], "val_miou": header["val_miou"]}
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise DataFormatError(
+            f"{path}: malformed checkpoint header ({type(exc).__name__}: {exc})"
+        ) from exc
     net = build(config)
 
     expected = {n: tuple(a.shape) for n, a in _array_items(net)}
-    declared = {m["name"]: tuple(m["shape"]) for m in header["arrays"]}
+    declared = dict(manifest)
     if set(expected) != set(declared):
         missing = sorted(set(expected) - set(declared))
         extra = sorted(set(declared) - set(expected))
@@ -89,27 +98,27 @@ def load_checkpoint(path: str | Path) -> tuple[SegETNetwork, dict]:
             f"{path}: checkpoint array names do not match the network registry "
             f"(missing {missing[:5]}, extra {extra[:5]})"
         )
+    if set(bn_updates) != set(net.bn_states):
+        raise DataFormatError(f"{path}: bn_updates names do not match the network registry")
 
-    code = header["dtype"]
     if code not in _DTYPE_CODES.values():
         raise DataFormatError(f"{path}: unknown array dtype code {code!r}")
     itemsize = np.dtype(code).itemsize
     offset = 16 + hlen
     loaded: dict[str, np.ndarray] = {}
-    for m in header["arrays"]:
-        shape = tuple(m["shape"])
-        if shape != expected[m["name"]]:
+    for name, shape in manifest:
+        if shape != expected[name]:
             raise DataFormatError(
-                f"{path}: array {m['name']} has shape {shape}, expected {expected[m['name']]}"
+                f"{path}: array {name} has shape {shape}, expected {expected[name]}"
             )
         count = int(np.prod(shape)) if shape else 1
         nbytes = count * itemsize
         if offset + nbytes > len(raw):
             raise DataFormatError(
-                f"{path}: payload truncated at array {m['name']} "
+                f"{path}: payload truncated at array {name} "
                 f"(need {nbytes} bytes at offset {offset})"
             )
-        loaded[m["name"]] = np.frombuffer(raw, dtype=code, count=count, offset=offset).reshape(shape)
+        loaded[name] = np.frombuffer(raw, dtype=code, count=count, offset=offset).reshape(shape)
         offset += nbytes
 
     dt = net.config.np_dtype
@@ -118,6 +127,5 @@ def load_checkpoint(path: str | Path) -> tuple[SegETNetwork, dict]:
     for name, state in net.bn_states.items():
         state.running_mean[...] = loaded[f"{name}.running_mean"].astype(dt)
         state.running_var[...] = loaded[f"{name}.running_var"].astype(dt)
-        state.num_updates = int(header["bn_updates"][name])
-    meta = {"epoch": header["epoch"], "val_miou": header["val_miou"]}
+        state.num_updates = bn_updates[name]
     return net, meta

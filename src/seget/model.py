@@ -10,15 +10,18 @@ outputs before two refining convs and the final 1x1 logit conv. Every
 conv is followed by BN and ReLU except the logit conv, which must stay
 unbounded.
 
-Backward passes are hand-wired in reverse graph order; forward caches
-are held per layer instance and stay valid until the next forward, so
-repeated backward calls accumulate gradients additively.
+One static node list, built with the layers, drives forward (walk it),
+backward (replay it in reverse, summing fan-out gradients per slot) and
+describe() (propagate shapes only). Forward caches are held per layer
+and per node and stay valid until the next forward, so repeated
+backward calls accumulate gradients additively.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -102,7 +105,7 @@ class NetworkConfig:
 
 
 # ---------------------------------------------------------------------------
-# layer wrappers: each owns its parameters and one forward cache
+# conv units: each owns its parameters and one forward cache
 # ---------------------------------------------------------------------------
 
 class _Conv:
@@ -114,7 +117,9 @@ class _Conv:
         self.bias = bias if use_bias else None
         self._cache: ops.Conv2dCache | None = None
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, mode: str = "train") -> Tensor:
+        """mode is accepted for a uniform unit interface; a bare conv
+        behaves the same in train and infer mode."""
         y, self._cache = ops.conv2d_forward(x, self.spec, self.kernel, self.bias)
         return y
 
@@ -165,33 +170,15 @@ class _ConvBnRelu:
         return p
 
 
-class _Upsample:
-    def __init__(self, mode: str):
-        self.mode = mode
-        self._cache: ops.UpsampleCache | None = None
+class _Node(NamedTuple):
+    """One step of the static graph: reads the `inputs` slots, writes the
+    `output` slot. Slot 0 holds the input batch; node k writes slot k + 1."""
 
-    def forward(self, x: Tensor) -> Tensor:
-        y, self._cache = ops.bilinear_upsample_2x_forward(x, self.mode)
-        return y
-
-    def backward(self, g: Tensor) -> Tensor:
-        return ops.bilinear_upsample_2x_backward(g, self._cache)
-
-
-class _Concat:
-    def __init__(self) -> None:
-        self._cache: list[int] | None = None
-
-    def forward(self, xs: list[Tensor]) -> Tensor:
-        y, self._cache = ops.concat_channels_forward(xs)
-        return y
-
-    def backward(self, g: Tensor) -> list[Tensor]:
-        return ops.concat_channels_backward(g, self._cache)
-
-
-def _add(a: Tensor, b: Tensor) -> Tensor:
-    return Tensor(a.data + b.data)
+    name: str
+    kind: str  # conv | upsample | concat
+    unit: _ConvBnRelu | _Conv | None
+    inputs: tuple[int, ...]
+    output: int
 
 
 # ---------------------------------------------------------------------------
@@ -249,101 +236,93 @@ class SegETNetwork:
         self.config = config
         rng = np.random.default_rng(seed)
         dt = config.np_dtype
-        up = config.upsample_mode
         depth = config.depth
+        base = config.base_filters
         f_top = config.filters(depth - 1)
+        nodes: list[_Node] = []
+
+        def node(name: str, kind: str, unit, *inputs: int) -> int:
+            nodes.append(_Node(name, kind, unit, inputs, len(nodes) + 1))
+            return len(nodes)
+
+        def conv(name: str, spec: ConvSpec, x: int) -> tuple[_ConvBnRelu, int]:
+            unit = _ConvBnRelu(name, spec, rng, dt)
+            return unit, node(name, "conv", unit, x)
 
         self.encoder: list[dict] = []
-        prev = config.input_channels
+        self._skip_slots: list[int] = []
+        prev, x = config.input_channels, 0
         for i in range(depth):
             f = config.filters(i)
             sk = config.skip_channels(i)
-            blk = {
-                "c1": _ConvBnRelu(f"enc{i}.c1", ConvSpec(prev, f), rng, dt),
-                "c2": _ConvBnRelu(f"enc{i}.c2", ConvSpec(f, f), rng, dt),
-                "c3": _ConvBnRelu(f"enc{i}.c3", ConvSpec(f, sk), rng, dt),
-                "c4": _ConvBnRelu(f"enc{i}.c4", ConvSpec(sk, f, stride=2), rng, dt),
-            }
-            self.encoder.append(blk)
+            c1, x = conv(f"enc{i}.c1", ConvSpec(prev, f), x)
+            c2, x = conv(f"enc{i}.c2", ConvSpec(f, f), x)
+            c3, x = conv(f"enc{i}.c3", ConvSpec(f, sk), x)
+            self._skip_slots.append(x)
+            c4, x = conv(f"enc{i}.c4", ConvSpec(sk, f, stride=2), x)
+            self.encoder.append({"c1": c1, "c2": c2, "c3": c3, "c4": c4})
             prev = f
 
-        self.center_c1 = _ConvBnRelu("center.c1", ConvSpec(f_top, 2 * f_top), rng, dt)
-        self.center_c2 = _ConvBnRelu("center.c2", ConvSpec(2 * f_top, 2 * f_top), rng, dt)
-        self.center_branches = [
-            _ConvBnRelu(f"center.b{idx}", ConvSpec(2 * f_top, f_top, dilation=r), rng, dt)
-            for idx, r in enumerate(config.dilation_rates)
-        ]
-        self.center_concat = _Concat()
-        cc = len(config.dilation_rates) * f_top
+        center_in = x
+        _, x = conv("center.c1", ConvSpec(f_top, 2 * f_top), x)
+        _, x = conv("center.c2", ConvSpec(2 * f_top, 2 * f_top), x)
+        self.center_branches: list[_ConvBnRelu] = []
+        cat: list[int] = []
+        for idx, r in enumerate(config.dilation_rates):
+            branch, out = conv(f"center.b{idx}", ConvSpec(2 * f_top, f_top, dilation=r), x)
+            self.center_branches.append(branch)
+            cat.append(out)
         if config.center_concat_input:
-            cc += f_top
-        self.center_reduce = _ConvBnRelu("center.reduce", ConvSpec(cc, 2 * f_top, kernel=1), rng, dt)
+            cat.append(center_in)
+        x = node("center.concat", "concat", None, *cat)
+        self.center_reduce, x = conv(
+            "center.reduce", ConvSpec(len(cat) * f_top, 2 * f_top, kernel=1), x
+        )
 
-        self.decoder: list[dict] = []
+        d_outs: list[int] = []
         h_ch = 2 * f_top
         for j in range(depth):
             e = depth - 1 - j
             f = config.filters(e)
-            sk = config.skip_channels(e)
-            blk = {
-                "up": _Upsample(up),
-                "concat": _Concat(),
-                "c1": _ConvBnRelu(f"dec{j}.c1", ConvSpec(h_ch + sk, f), rng, dt),
-                "c2": _ConvBnRelu(f"dec{j}.c2", ConvSpec(f, f), rng, dt),
-            }
-            self.decoder.append(blk)
+            x = node(f"dec{j}.up", "upsample", None, x)
+            x = node(f"dec{j}.concat", "concat", None, x, self._skip_slots[e])
+            _, x = conv(f"dec{j}.c1", ConvSpec(h_ch + config.skip_channels(e), f), x)
+            _, x = conv(f"dec{j}.c2", ConvSpec(f, f), x)
+            d_outs.append(x)
             h_ch = f
 
         # progressive fusion of the deeper decoder outputs (step one), then
         # merge with the last block's output and refine (step two)
-        self.fusion: list[dict] = []
+        head_in = base
         if depth >= 2:
-            h_ch = config.filters(depth - 1)
+            x, h_ch = d_outs[0], f_top
             for t in range(1, depth - 1):
                 d_ch = config.filters(depth - 1 - t)
-                self.fusion.append({
-                    "up": _Upsample(up),
-                    "concat": _Concat(),
-                    "conv": _ConvBnRelu(f"fuse{t}.c", ConvSpec(h_ch + d_ch, d_ch), rng, dt),
-                })
+                x = node(f"fuse{t}.up", "upsample", None, x)
+                x = node(f"fuse{t}.concat", "concat", None, x, d_outs[t])
+                _, x = conv(f"fuse{t}.c", ConvSpec(h_ch + d_ch, d_ch), x)
                 h_ch = d_ch
-            self.head_up = _Upsample(up)
-            self.head_concat = _Concat()
-            head_in = h_ch + config.base_filters
-        else:
-            self.head_up = None
-            self.head_concat = None
-            head_in = config.base_filters
-        self.head_c1 = _ConvBnRelu("head.c1", ConvSpec(head_in, config.base_filters), rng, dt)
-        self.head_c2 = _ConvBnRelu(
-            "head.c2", ConvSpec(config.base_filters, config.base_filters), rng, dt
-        )
-        self.head_logit = _Conv("head.logit", ConvSpec(config.base_filters, 1, kernel=1), rng, dt)
+            x = node("head.up", "upsample", None, x)
+            x = node("head.concat", "concat", None, x, d_outs[-1])
+            head_in += h_ch
+        _, x = conv("head.c1", ConvSpec(head_in, base), x)
+        _, x = conv("head.c2", ConvSpec(base, base), x)
+        self.head_logit = _Conv("head.logit", ConvSpec(base, 1, kernel=1), rng, dt)
+        node("head.logit", "conv", self.head_logit, x)
+        self._nodes = nodes
 
         self._params: dict[str, Parameter] = {}
         self._bn_states: dict[str, ops.BatchNormState] = {}
-        for unit in self._conv_units():
-            self._params.update(unit.parameters())
-            if isinstance(unit, _ConvBnRelu):
-                self._bn_states[unit.name] = unit.state
+        for nd in nodes:
+            if nd.kind == "conv":
+                self._params.update(nd.unit.parameters())
+                if isinstance(nd.unit, _ConvBnRelu):
+                    self._bn_states[nd.name] = nd.unit.state
 
+        self._op_caches: dict[str, object] = {}
         self._forward_done = False
         self._logits_shape: tuple[int, ...] | None = None
-        self._last_ablated: tuple[int, ...] = ()
-
-    # -- wiring helpers ----------------------------------------------------
-
-    def _conv_units(self) -> list:
-        units: list = []
-        for blk in self.encoder:
-            units += [blk["c1"], blk["c2"], blk["c3"], blk["c4"]]
-        units += [self.center_c1, self.center_c2, *self.center_branches, self.center_reduce]
-        for blk in self.decoder:
-            units += [blk["c1"], blk["c2"]]
-        for fu in self.fusion:
-            units.append(fu["conv"])
-        units += [self.head_c1, self.head_c2, self.head_logit]
-        return units
+        self._ablated_slots: set[int] = set()
 
     @property
     def parameters(self) -> dict[str, Parameter]:
@@ -375,49 +354,33 @@ class SegETNetwork:
                 f"spatial extents ({h}, {w}) must both be divisible by "
                 f"2^depth = {factor} for depth {depth}"
             )
-        ablate = tuple(ablate_skips)
-        skips: list[Tensor] = []
-        x = batch
-        for i, blk in enumerate(self.encoder):
-            x = blk["c1"].forward(x, mode)
-            x = blk["c2"].forward(x, mode)
-            x = blk["c3"].forward(x, mode)
-            skips.append(Tensor(np.zeros_like(x.data)) if i in ablate else x)
-            x = blk["c4"].forward(x, mode)
-
-        center_in = x
-        x = self.center_c1.forward(center_in, mode)
-        x = self.center_c2.forward(x, mode)
-        branch_outs = [b.forward(x, mode) for b in self.center_branches]
-        cat = branch_outs + ([center_in] if self.config.center_concat_input else [])
-        x = self.center_concat.forward(cat)
-        x = self.center_reduce.forward(x, mode)
-
-        d_outs: list[Tensor] = []
-        for j, blk in enumerate(self.decoder):
-            x = blk["up"].forward(x)
-            x = blk["concat"].forward([x, skips[depth - 1 - j]])
-            x = blk["c1"].forward(x, mode)
-            x = blk["c2"].forward(x, mode)
-            d_outs.append(x)
-
-        if depth == 1:
-            x = d_outs[0]
-        else:
-            x = d_outs[0]
-            for t, fu in enumerate(self.fusion, start=1):
-                x = fu["up"].forward(x)
-                x = fu["concat"].forward([x, d_outs[t]])
-                x = fu["conv"].forward(x, mode)
-            x = self.head_up.forward(x)
-            x = self.head_concat.forward([x, d_outs[depth - 1]])
-        x = self.head_c1.forward(x, mode)
-        x = self.head_c2.forward(x, mode)
-        logits = self.head_logit.forward(x)
+        ablate = set(ablate_skips)
+        ablated = {s for i, s in enumerate(self._skip_slots) if i in ablate}
+        # each slot is released after its last reader
+        readers = Counter(s for nd in self._nodes for s in nd.inputs)
+        slots: dict[int, Tensor] = {0: batch}
+        for nd in self._nodes:
+            xs = [slots[s] for s in nd.inputs]
+            for s in nd.inputs:
+                readers[s] -= 1
+                if not readers[s]:
+                    del slots[s]
+            if nd.kind == "conv":
+                y = nd.unit.forward(xs[0], mode)
+            elif nd.kind == "upsample":
+                y, self._op_caches[nd.name] = ops.bilinear_upsample_2x_forward(
+                    xs[0], self.config.upsample_mode
+                )
+            else:  # an ablated skip tap reaches its decoder concat as zeros
+                xs = [Tensor(np.zeros_like(x.data)) if s in ablated else x
+                      for s, x in zip(nd.inputs, xs)]
+                y, self._op_caches[nd.name] = ops.concat_channels_forward(xs)
+            slots[nd.output] = y
+        logits = slots[self._nodes[-1].output]
 
         self._forward_done = True
         self._logits_shape = logits.shape
-        self._last_ablated = ablate
+        self._ablated_slots = ablated
         return logits
 
     # -- backward ----------------------------------------------------------
@@ -431,147 +394,64 @@ class SegETNetwork:
             raise ValueError(
                 f"grad shape {grad_logits.shape} does not match logits {self._logits_shape}"
             )
-        depth = self.config.depth
-        g = self.head_logit.backward(grad_logits)
-        g = self.head_c2.backward(g)
-        g = self.head_c1.backward(g)
-
-        d_grads: list[Tensor | None] = [None] * depth
-        if depth == 1:
-            d_grads[0] = g
-        else:
-            g_up, g_last = self.head_concat.backward(g)
-            d_grads[depth - 1] = g_last
-            g = self.head_up.backward(g_up)
-            for t in range(len(self.fusion), 0, -1):
-                fu = self.fusion[t - 1]
-                g = fu["conv"].backward(g)
-                g_up, g_dt = fu["concat"].backward(g)
-                d_grads[t] = g_dt
-                g = fu["up"].backward(g_up)
-            d_grads[0] = g
-
-        skip_grads: list[Tensor | None] = [None] * depth
-        g_down: Tensor | None = None
-        for j in reversed(range(depth)):
-            blk = self.decoder[j]
-            g_out = d_grads[j]
-            if g_down is not None:
-                g_out = _add(g_out, g_down)
-            g = blk["c2"].backward(g_out)
-            g = blk["c1"].backward(g)
-            g_up, g_skip = blk["concat"].backward(g)
-            skip_grads[depth - 1 - j] = g_skip
-            g_down = blk["up"].backward(g_up)
-
-        g = self.center_reduce.backward(g_down)
-        parts = self.center_concat.backward(g)
-        n_br = len(self.center_branches)
-        g_c2: Tensor | None = None
-        for branch, gb in zip(self.center_branches, parts[:n_br]):
-            gin = branch.backward(gb)
-            g_c2 = gin if g_c2 is None else _add(g_c2, gin)
-        g = self.center_c2.backward(g_c2)
-        g = self.center_c1.backward(g)
-        if self.config.center_concat_input:
-            g = _add(g, parts[-1])
-
-        for i in reversed(range(depth)):
-            blk = self.encoder[i]
-            g = blk["c4"].backward(g)
-            if i not in self._last_ablated:
-                g = _add(g, skip_grads[i])
-            g = blk["c3"].backward(g)
-            g = blk["c2"].backward(g)
-            g = blk["c1"].backward(g)
+        # per slot, the gradients from its readers, latest reader first
+        grads: dict[int, list[Tensor]] = {self._nodes[-1].output: [grad_logits]}
+        for nd in reversed(self._nodes):
+            parts = grads.pop(nd.output)
+            g = parts[-1]
+            for p in reversed(parts[:-1]):  # summed in forward reader order
+                g = Tensor(g.data + p.data)
+            if nd.kind == "conv":
+                g_in = [nd.unit.backward(g)]
+            elif nd.kind == "upsample":
+                g_in = [ops.bilinear_upsample_2x_backward(g, self._op_caches[nd.name])]
+            else:  # an ablated skip tap gets no gradient from its concat
+                g_in = [None if s in self._ablated_slots else gs for s, gs in zip(
+                    nd.inputs, ops.concat_channels_backward(g, self._op_caches[nd.name])
+                )]
+            for s, gs in zip(nd.inputs, g_in):
+                if gs is not None:
+                    grads.setdefault(s, []).append(gs)
 
     # -- introspection -----------------------------------------------------
 
     def describe(self, ref_hw: tuple[int, int] | None = None) -> NetworkSummary:
         """Layer table via static shape propagation at a reference input."""
         cfg = self.config
-        depth = cfg.depth
         if ref_hw is None:
             s = 4 * cfg.downsample_factor
             ref_hw = (s, s)
-        h, w = ref_hw
+        shapes = {0: (1, cfg.input_channels, *ref_hw)}
+        feeds: dict[int, tuple[int, ...]] = {}  # slot -> inputs of its writer
         rows: list[LayerRow] = []
+        for nd in self._nodes:
+            n, c, h, w = shapes[nd.inputs[0]]
+            if nd.kind == "conv":
+                spec = nd.unit.spec
+                out = (n, spec.out_channels, *spec.out_spatial(h, w))
+                params = sum(p.value.size for p in nd.unit.parameters().values())
+                stride, dilation = spec.stride, spec.dilation
+            elif nd.kind == "upsample":
+                out, params, stride, dilation = (n, c, 2 * h, 2 * w), 0, 2, 1
+            else:  # parallel branches (writers fed alike) show as one input
+                c = sum(shapes[s][1] for s in nd.inputs if feeds[s] == feeds[nd.inputs[0]])
+                out = (n, sum(shapes[s][1] for s in nd.inputs), h, w)
+                params, stride, dilation = 0, 1, 1
+            rows.append(LayerRow(nd.name, nd.kind, (n, c, h, w), out, params, stride, dilation))
+            shapes[nd.output] = out
+            feeds[nd.output] = nd.inputs
 
-        def shp(c: int, hh: int, ww: int) -> tuple[int, ...]:
-            return (1, c, hh, ww)
-
-        def conv_row(unit, c_in: int, hh: int, ww: int) -> tuple[int, int, int]:
-            spec = unit.spec
-            oh, ow = spec.out_spatial(hh, ww)
-            n_params = sum(p.value.size for p in unit.parameters().values())
-            rows.append(LayerRow(unit.name, "conv", shp(c_in, hh, ww),
-                                 shp(spec.out_channels, oh, ow),
-                                 n_params, spec.stride, spec.dilation))
-            return spec.out_channels, oh, ow
-
-        def up_row(name: str, c: int, hh: int, ww: int) -> tuple[int, int, int]:
-            rows.append(LayerRow(name, "upsample", shp(c, hh, ww), shp(c, 2 * hh, 2 * ww), 0, 2, 1))
-            return c, 2 * hh, 2 * ww
-
-        def cat_row(name: str, cs: list[int], hh: int, ww: int) -> int:
-            rows.append(LayerRow(name, "concat", shp(cs[0], hh, ww), shp(sum(cs), hh, ww), 0, 1, 1))
-            return sum(cs)
-
-        c, hh, ww = cfg.input_channels, h, w
-        skip_dims: list[tuple[int, int, int]] = []
-        for i, blk in enumerate(self.encoder):
-            c, hh, ww = conv_row(blk["c1"], c, hh, ww)
-            c, hh, ww = conv_row(blk["c2"], c, hh, ww)
-            c, hh, ww = conv_row(blk["c3"], c, hh, ww)
-            skip_dims.append((c, hh, ww))
-            c, hh, ww = conv_row(blk["c4"], c, hh, ww)
-
-        center_c, center_h, center_w = c, hh, ww
-        c, hh, ww = conv_row(self.center_c1, c, hh, ww)
-        c, hh, ww = conv_row(self.center_c2, c, hh, ww)
-        branch_c = 0
-        for b in self.center_branches:
-            bc, _, _ = conv_row(b, c, hh, ww)
-            branch_c += bc
-        cat_cs = [branch_c] if not cfg.center_concat_input else [branch_c, center_c]
-        c = cat_row("center.concat", cat_cs, hh, ww)
-        c, hh, ww = conv_row(self.center_reduce, c, hh, ww)
-
-        d_dims: list[tuple[int, int, int]] = []
-        for j, blk in enumerate(self.decoder):
-            c, hh, ww = up_row(f"dec{j}.up", c, hh, ww)
-            sk_c = skip_dims[depth - 1 - j][0]
-            c = cat_row(f"dec{j}.concat", [c, sk_c], hh, ww)
-            c, hh, ww = conv_row(blk["c1"], c, hh, ww)
-            c, hh, ww = conv_row(blk["c2"], c, hh, ww)
-            d_dims.append((c, hh, ww))
-
-        if depth >= 2:
-            c, hh, ww = d_dims[0]
-            for t, fu in enumerate(self.fusion, start=1):
-                c, hh, ww = up_row(f"fuse{t}.up", c, hh, ww)
-                c = cat_row(f"fuse{t}.concat", [c, d_dims[t][0]], hh, ww)
-                c, hh, ww = conv_row(fu["conv"], c, hh, ww)
-            c, hh, ww = up_row("head.up", c, hh, ww)
-            c = cat_row("head.concat", [c, d_dims[depth - 1][0]], hh, ww)
-        else:
-            c, hh, ww = d_dims[0]
-        c, hh, ww = conv_row(self.head_c1, c, hh, ww)
-        c, hh, ww = conv_row(self.head_c2, c, hh, ww)
-        conv_row(self.head_logit, c, hh, ww)
-
-        total = sum(p.value.size for p in self._params.values())
-        center_convs = sum(
-            1 for r in rows if r.kind == "conv" and r.name.startswith("center.")
-        )
-        enc0_convs = sum(1 for r in rows if r.kind == "conv" and r.name.startswith("enc0."))
         return NetworkSummary(
             rows=rows,
-            total_params=total,
+            total_params=sum(p.value.size for p in self._params.values()),
             downsample_factor=cfg.downsample_factor,
-            center_conv_count=center_convs,
-            encoder_convs_per_block=enc0_convs,
-            decoder_block_count=depth,
+            center_conv_count=sum(
+                1 for r in rows if r.kind == "conv" and r.name.startswith("center.")
+            ),
+            encoder_convs_per_block=sum(
+                1 for r in rows if r.kind == "conv" and r.name.startswith("enc0.")
+            ),
+            decoder_block_count=cfg.depth,
         )
 
 

@@ -1,8 +1,7 @@
 """Dense 4-D tensors, trainable parameters, and convolution specs.
 
 Everything numeric in the network flows through these three types. A
-Tensor is a batch of feature maps in row-major N,C,H,W order with an
-optional gradient buffer; a Parameter is a trainable array with an
+Tensor is a batch of feature maps in row-major N,C,H,W order; a Parameter is a trainable array with an
 additively-accumulated gradient; a ConvSpec pins down one convolution's
 geometry (kernel size, stride, dilation, channel counts).
 """
@@ -23,10 +22,9 @@ _ROLES = (ROLE_CONV_KERNEL, ROLE_CONV_BIAS, ROLE_BN_GAMMA, ROLE_BN_BETA)
 
 @dataclass
 class Tensor:
-    """Batch of feature maps, shape (N, C, H, W), plus an optional grad buffer."""
+    """Batch of feature maps, shape (N, C, H, W)."""
 
     data: np.ndarray
-    grad: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.data = np.asarray(self.data)
@@ -36,10 +34,6 @@ class Tensor:
             raise ValueError(f"Tensor extents must all be >= 1, got shape {self.data.shape}")
         if not np.issubdtype(self.data.dtype, np.floating):
             raise ValueError(f"Tensor data must be floating point, got {self.data.dtype}")
-        if self.grad is not None and self.grad.shape != self.data.shape:
-            raise ValueError(
-                f"grad shape {self.grad.shape} must equal data shape {self.data.shape}"
-            )
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
@@ -48,20 +42,6 @@ class Tensor:
     @property
     def dtype(self) -> np.dtype:
         return self.data.dtype
-
-    def zero_grad(self) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        else:
-            self.grad.fill(0.0)
-
-
-def tensor4d(array: np.ndarray, dtype: np.dtype | str | None = None) -> Tensor:
-    """Wrap a 2-D (H,W), 3-D (C,H,W), or 4-D array as a Tensor, adding leading axes."""
-    a = np.asarray(array, dtype=dtype)
-    while a.ndim < 4:
-        a = a[np.newaxis]
-    return Tensor(a)
 
 
 @dataclass
@@ -130,10 +110,6 @@ class ConvSpec:
     def out_spatial(self, h: int, w: int) -> tuple[int, int]:
         """"same" semantics: output extent = ceil(extent / stride)."""
         return -(-h // self.stride), -(-w // self.stride)
-
-    @property
-    def param_count(self) -> int:
-        return self.kernel * self.kernel * self.in_channels * self.out_channels + self.out_channels
 
 
 def init_conv_params(

@@ -96,7 +96,6 @@ class TrainConfig:
     threshold: float = 0.5
     seed: int = 0
     checkpoint_path: str = "best.ckpt"
-    monitor: str = "val_miou"
     min_delta: float = 0.0
 
     def __post_init__(self) -> None:

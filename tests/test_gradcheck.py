@@ -6,6 +6,7 @@ import pytest
 
 from seget import gradcheck as gc
 from seget import ops
+from seget.model import NetworkConfig, build
 from seget.tensor import ConvSpec, Parameter, Tensor
 
 
@@ -82,3 +83,53 @@ def test_report_line_format():
 def test_network_suite_tiny_config():
     reports = gc.run_network_suite(seed=3)
     assert reports and all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("cfg, ablate, shape", [
+    (NetworkConfig(base_filters=1, depth=3, dilation_rates=(1, 2), dtype="float64",
+                   center_concat_input=False), (1,), (2, 1, 16, 16)),
+    (NetworkConfig(base_filters=2, depth=4, dilation_rates=(1, 2, 4, 8), dtype="float64"),
+     (), (1, 1, 32, 32)),
+])
+def test_deep_wiring_matches_finite_differences(cfg, ablate, shape):
+    """Decoder, fusion and head fan-out and the summed center branches
+    at depth >= 3, on 4 sampled coordinates per parameter tensor.
+
+    In infer mode BN is affine, so along one parameter the projected
+    logits are piecewise linear: both one-sided slopes agree unless a
+    ReLU kink lies within the step, and then the step shrinks."""
+    rng = np.random.default_rng(0)
+    net = build(cfg, seed=1)
+    x = Tensor(rng.standard_normal(shape))
+    for _ in range(3):  # populate the running stats
+        net.forward(x, mode="train")
+    proj = rng.standard_normal(shape)
+
+    def value() -> float:
+        return float((net.forward(x, mode="infer", ablate_skips=ablate).data * proj).sum())
+
+    def shifted(flat: np.ndarray, i: int, step: float) -> tuple[float, float]:
+        orig = flat[i]
+        flat[i] = orig + step
+        plus = value()
+        flat[i] = orig - step
+        minus = value()
+        flat[i] = orig
+        return plus, minus
+
+    f0 = value()
+    net.zero_grads()
+    net.backward(Tensor(proj))
+    for name, p in net.parameters.items():
+        flat = p.value.ravel()
+        coords = rng.choice(flat.size, size=min(4, flat.size), replace=False)
+        analytic = p.grad.ravel()[coords]
+        numeric = np.empty_like(analytic)
+        for k, i in enumerate(coords):
+            step = 1e-6
+            plus, minus = shifted(flat, i, step)
+            while step > 1e-9 and gc.relative_error(plus - f0, f0 - minus) > 1e-3:
+                step /= 10
+                plus, minus = shifted(flat, i, step)
+            numeric[k] = (plus - minus) / (2.0 * step)
+        assert gc.relative_error(analytic, numeric) <= 1e-3, name

@@ -1,6 +1,9 @@
 """Network topology, shape contracts, backward wiring, describe(),
 probes, and the checkpoint container."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -204,6 +207,90 @@ class TestDescribe:
         text = build(TINY).describe().table()
         assert "total params" in text and "enc0.c1" in text
 
+    @pytest.mark.parametrize("cfg, expected", [
+        (NetworkConfig(base_filters=4, depth=3, dilation_rates=(1, 2)), "depth3"),
+        (NetworkConfig(base_filters=4, depth=2, dilation_rates=(1, 2),
+                       center_concat_input=False), "depth2_no_center_input"),
+    ])
+    def test_table_is_byte_stable(self, cfg, expected):
+        """center.concat's `in` column is the summed branch outputs."""
+        assert build(cfg).describe().table() == GOLDEN_TABLES[expected]
+
+
+GOLDEN_TABLES = {
+    "depth3": """\
+name              kind      in              out               params  s  d
+enc0.c1           conv      (1, 1, 32, 32)  (1, 4, 32, 32)        44  1  1
+enc0.c2           conv      (1, 4, 32, 32)  (1, 4, 32, 32)       152  1  1
+enc0.c3           conv      (1, 4, 32, 32)  (1, 2, 32, 32)        76  1  1
+enc0.c4           conv      (1, 2, 32, 32)  (1, 4, 16, 16)        80  2  1
+enc1.c1           conv      (1, 4, 16, 16)  (1, 8, 16, 16)       304  1  1
+enc1.c2           conv      (1, 8, 16, 16)  (1, 8, 16, 16)       592  1  1
+enc1.c3           conv      (1, 8, 16, 16)  (1, 4, 16, 16)       296  1  1
+enc1.c4           conv      (1, 4, 16, 16)  (1, 8, 8, 8)         304  2  1
+enc2.c1           conv      (1, 8, 8, 8)    (1, 16, 8, 8)       1184  1  1
+enc2.c2           conv      (1, 16, 8, 8)   (1, 16, 8, 8)       2336  1  1
+enc2.c3           conv      (1, 16, 8, 8)   (1, 8, 8, 8)        1168  1  1
+enc2.c4           conv      (1, 8, 8, 8)    (1, 16, 4, 4)       1184  2  1
+center.c1         conv      (1, 16, 4, 4)   (1, 32, 4, 4)       4672  1  1
+center.c2         conv      (1, 32, 4, 4)   (1, 32, 4, 4)       9280  1  1
+center.b0         conv      (1, 32, 4, 4)   (1, 16, 4, 4)       4640  1  1
+center.b1         conv      (1, 32, 4, 4)   (1, 16, 4, 4)       4640  1  2
+center.concat     concat    (1, 32, 4, 4)   (1, 48, 4, 4)          0  1  1
+center.reduce     conv      (1, 48, 4, 4)   (1, 32, 4, 4)       1600  1  1
+dec0.up           upsample  (1, 32, 4, 4)   (1, 32, 8, 8)          0  2  1
+dec0.concat       concat    (1, 32, 8, 8)   (1, 40, 8, 8)          0  1  1
+dec0.c1           conv      (1, 40, 8, 8)   (1, 16, 8, 8)       5792  1  1
+dec0.c2           conv      (1, 16, 8, 8)   (1, 16, 8, 8)       2336  1  1
+dec1.up           upsample  (1, 16, 8, 8)   (1, 16, 16, 16)        0  2  1
+dec1.concat       concat    (1, 16, 16, 16) (1, 20, 16, 16)        0  1  1
+dec1.c1           conv      (1, 20, 16, 16) (1, 8, 16, 16)      1456  1  1
+dec1.c2           conv      (1, 8, 16, 16)  (1, 8, 16, 16)       592  1  1
+dec2.up           upsample  (1, 8, 16, 16)  (1, 8, 32, 32)         0  2  1
+dec2.concat       concat    (1, 8, 32, 32)  (1, 10, 32, 32)        0  1  1
+dec2.c1           conv      (1, 10, 32, 32) (1, 4, 32, 32)       368  1  1
+dec2.c2           conv      (1, 4, 32, 32)  (1, 4, 32, 32)       152  1  1
+fuse1.up          upsample  (1, 16, 8, 8)   (1, 16, 16, 16)        0  2  1
+fuse1.concat      concat    (1, 16, 16, 16) (1, 24, 16, 16)        0  1  1
+fuse1.c           conv      (1, 24, 16, 16) (1, 8, 16, 16)      1744  1  1
+head.up           upsample  (1, 8, 16, 16)  (1, 8, 32, 32)         0  2  1
+head.concat       concat    (1, 8, 32, 32)  (1, 12, 32, 32)        0  1  1
+head.c1           conv      (1, 12, 32, 32) (1, 4, 32, 32)       440  1  1
+head.c2           conv      (1, 4, 32, 32)  (1, 4, 32, 32)       152  1  1
+head.logit        conv      (1, 4, 32, 32)  (1, 1, 32, 32)         5  1  1
+total params 45589; downsample x8; center convs 5; encoder convs/block 4""",
+    "depth2_no_center_input": """\
+name              kind      in              out               params  s  d
+enc0.c1           conv      (1, 1, 16, 16)  (1, 4, 16, 16)        44  1  1
+enc0.c2           conv      (1, 4, 16, 16)  (1, 4, 16, 16)       152  1  1
+enc0.c3           conv      (1, 4, 16, 16)  (1, 2, 16, 16)        76  1  1
+enc0.c4           conv      (1, 2, 16, 16)  (1, 4, 8, 8)          80  2  1
+enc1.c1           conv      (1, 4, 8, 8)    (1, 8, 8, 8)         304  1  1
+enc1.c2           conv      (1, 8, 8, 8)    (1, 8, 8, 8)         592  1  1
+enc1.c3           conv      (1, 8, 8, 8)    (1, 4, 8, 8)         296  1  1
+enc1.c4           conv      (1, 4, 8, 8)    (1, 8, 4, 4)         304  2  1
+center.c1         conv      (1, 8, 4, 4)    (1, 16, 4, 4)       1184  1  1
+center.c2         conv      (1, 16, 4, 4)   (1, 16, 4, 4)       2336  1  1
+center.b0         conv      (1, 16, 4, 4)   (1, 8, 4, 4)        1168  1  1
+center.b1         conv      (1, 16, 4, 4)   (1, 8, 4, 4)        1168  1  2
+center.concat     concat    (1, 16, 4, 4)   (1, 16, 4, 4)          0  1  1
+center.reduce     conv      (1, 16, 4, 4)   (1, 16, 4, 4)        288  1  1
+dec0.up           upsample  (1, 16, 4, 4)   (1, 16, 8, 8)          0  2  1
+dec0.concat       concat    (1, 16, 8, 8)   (1, 20, 8, 8)          0  1  1
+dec0.c1           conv      (1, 20, 8, 8)   (1, 8, 8, 8)        1456  1  1
+dec0.c2           conv      (1, 8, 8, 8)    (1, 8, 8, 8)         592  1  1
+dec1.up           upsample  (1, 8, 8, 8)    (1, 8, 16, 16)         0  2  1
+dec1.concat       concat    (1, 8, 16, 16)  (1, 10, 16, 16)        0  1  1
+dec1.c1           conv      (1, 10, 16, 16) (1, 4, 16, 16)       368  1  1
+dec1.c2           conv      (1, 4, 16, 16)  (1, 4, 16, 16)       152  1  1
+head.up           upsample  (1, 8, 8, 8)    (1, 8, 16, 16)         0  2  1
+head.concat       concat    (1, 8, 16, 16)  (1, 12, 16, 16)        0  1  1
+head.c1           conv      (1, 12, 16, 16) (1, 4, 16, 16)       440  1  1
+head.c2           conv      (1, 4, 16, 16)  (1, 4, 16, 16)       152  1  1
+head.logit        conv      (1, 4, 16, 16)  (1, 1, 16, 16)         5  1  1
+total params 11157; downsample x4; center convs 5; encoder convs/block 4""",
+}
+
 
 class TestProbes:
     def test_center_branch_receptive_fields(self):
@@ -255,6 +342,33 @@ class TestCheckpoint:
         swapped = raw.replace(b'"depth": 1', b'"depth": 2')
         path.write_bytes(swapped)
         with pytest.raises(DataFormatError, match="registry"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _with_header(path, blob):
+        """Rewrite a saved checkpoint with another header blob."""
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack_from("<Q", raw, 8)
+        path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen:])
+
+    def test_rejects_header_missing_a_key(self, tmp_path):
+        net = build(TINY)
+        path = tmp_path / "nokey.ckpt"
+        save_checkpoint(path, net, 0, 0.0)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack_from("<Q", raw, 8)
+        header = json.loads(raw[16 : 16 + hlen])
+        del header["bn_updates"]
+        self._with_header(path, json.dumps(header).encode())
+        with pytest.raises(DataFormatError, match="malformed checkpoint header"):
+            load_checkpoint(path)
+
+    def test_rejects_non_json_header(self, tmp_path):
+        net = build(TINY)
+        path = tmp_path / "nojson.ckpt"
+        save_checkpoint(path, net, 0, 0.0)
+        self._with_header(path, b"\xff not json \x00")
+        with pytest.raises(DataFormatError, match="malformed checkpoint header"):
             load_checkpoint(path)
 
     def test_rejects_truncated_payload(self, tmp_path):

@@ -25,10 +25,6 @@ class TestTensorTypes:
         with pytest.raises(ValueError, match="4-D"):
             Tensor(np.zeros((3, 3)))
 
-    def test_tensor_rejects_grad_shape_mismatch(self):
-        with pytest.raises(ValueError, match="grad shape"):
-            Tensor(np.zeros((1, 1, 2, 2)), grad=np.zeros((1, 1, 2, 3)))
-
     def test_parameter_grad_accumulates(self):
         p = Parameter(np.ones(3), "conv-bias")
         assert p.grad is None
