@@ -10,14 +10,17 @@ Layout (all little-endian):
                  (name, shape, dtype code) and per-BN update counts
     payload      raw array blobs, concatenated in manifest order
 
-Loading rebuilds the network from the config echo and rejects version
-mismatches and any difference between the file's array name set and the
-network's registry.
+Saving writes a sibling ``<name>.tmp`` and renames it over the target,
+so an interrupted save never leaves a torn checkpoint. Loading rebuilds
+the network from the config echo and rejects version mismatches, any
+difference between the file's array name set and the network's
+registry, and bytes after the last array.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -55,13 +58,24 @@ def save_checkpoint(path: str | Path, net: SegETNetwork, epoch: int, val_miou: f
         "bn_updates": {n: s.num_updates for n, s in net.bn_states.items()},
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for _, a in items:
-            fh.write(np.ascontiguousarray(a, dtype=code).tobytes())
+    # write a sibling file and rename it over `path`, so a write that fails
+    # partway leaves the previous checkpoint whole
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", FORMAT_VERSION))
+            fh.write(struct.pack("<Q", len(blob)))
+            fh.write(blob)
+            for _, a in items:
+                fh.write(np.ascontiguousarray(a, dtype=code).tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path) -> tuple[SegETNetwork, dict]:
@@ -120,6 +134,10 @@ def load_checkpoint(path: str | Path) -> tuple[SegETNetwork, dict]:
             )
         loaded[name] = np.frombuffer(raw, dtype=code, count=count, offset=offset).reshape(shape)
         offset += nbytes
+    if offset != len(raw):
+        raise DataFormatError(
+            f"{path}: {len(raw) - offset} trailing bytes after the last array"
+        )
 
     dt = net.config.np_dtype
     for name, p in net.parameters.items():

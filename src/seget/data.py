@@ -320,8 +320,9 @@ def write_fused_ppm(class_mask: np.ndarray, palette: dict[int, tuple[int, int, i
 
 
 def _read_netpbm(raw: bytes, magic: bytes, channels: int) -> np.ndarray:
+    kind = magic.decode()
     if not raw.startswith(magic):
-        raise DataFormatError(f"expected {magic.decode()} file")
+        raise DataFormatError(f"expected {kind} file")
     # header: magic, width, height, maxval, single whitespace, then raw samples
     fields: list[bytes] = []
     pos = 2
@@ -335,9 +336,16 @@ def _read_netpbm(raw: bytes, magic: bytes, channels: int) -> np.ndarray:
         start = pos
         while pos < len(raw) and not raw[pos : pos + 1].isspace():
             pos += 1
-        fields.append(raw[start:pos])
+        field = raw[start:pos]
+        if not field:
+            raise DataFormatError(f"truncated {kind} header: {len(fields)} of 3 fields")
+        if not field.isdigit():
+            raise DataFormatError(f"{kind} header field {field[:16]!r} is not a decimal integer")
+        fields.append(field)
     pos += 1  # the single whitespace byte after maxval
     w, h, maxval = (int(f) for f in fields)
+    if w == 0 or h == 0:
+        raise DataFormatError(f"{kind} extents must be positive, got {w}x{h}")
     if maxval != 255:
         raise DataFormatError(f"only maxval 255 supported, got {maxval}")
     need = w * h * channels

@@ -226,11 +226,14 @@ def run_operator_suite(
     """Finite-difference checks for every differentiable operator.
 
     Conv variants cover stride 2, dilation, and 1x1 kernels; every check
-    runs once per seed on fresh random inputs.
+    runs once per seed on fresh random inputs. The stride-2 "same"
+    padding is 0 top / 1 bottom on an even extent and 1 / 1 on an odd
+    one, so the 7x6 case mixes both on a non-square input.
     """
     conv_variants = [
         ("conv2d(3x3,s1,d1)", ConvSpec(3, 4, kernel=3, stride=1, dilation=1), (2, 3, 6, 6)),
         ("conv2d(3x3,s2,d1)", ConvSpec(2, 3, kernel=3, stride=2, dilation=1), (2, 2, 6, 6)),
+        ("conv2d(3x3,s2,d1,7x6)", ConvSpec(2, 3, kernel=3, stride=2, dilation=1), (2, 2, 7, 6)),
         ("conv2d(3x3,s1,d2)", ConvSpec(2, 2, kernel=3, stride=1, dilation=2), (1, 2, 7, 7)),
         ("conv2d(3x3,s1,d4)", ConvSpec(1, 2, kernel=3, stride=1, dilation=4), (1, 1, 9, 9)),
         ("conv2d(1x1,s1,d1)", ConvSpec(3, 2, kernel=1, stride=1, dilation=1), (2, 3, 5, 5)),

@@ -83,6 +83,12 @@ def conv2d_forward(
     return Tensor(out), cache
 
 
+# Output pixels a conv2d_backward GEMM spans at least: enough columns for
+# BLAS to run near its speed, few enough that the im2col buffer of a
+# full-resolution layer holds one sample.
+_MIN_GEMM_COLS = 1024
+
+
 def conv2d_backward(
     grad_out: Tensor,
     cache: Conv2dCache | None,
@@ -90,7 +96,27 @@ def conv2d_backward(
     kernel: Parameter,
     bias: Parameter | None,
 ) -> Tensor:
-    """Gradient wrt the conv input; accumulates kernel.grad and bias.grad."""
+    """Gradient wrt the conv input; accumulates kernel.grad and bias.grad.
+
+    Both gradients are GEMMs against the im2col layout of the forward
+    window view (Chellapilla et al. 2006). Samples go in chunks of nb;
+    with P = OH*OW output pixels and CK = C*k*k taps, per chunk:
+
+    - cols = im2col(padded input) as (CK, nb*P), rows ordered (c, i, j)
+      and columns (sample, oh, ow), so the gather copy reads whole OW
+      rows of the padded input;
+    - gt = grad_out as (OC, nb*P);
+    - kernel gradient += gt @ cols.T, an (OC, nb*P) x (nb*P, CK) GEMM;
+    - gcols = kmat.T @ gt, a (CK, OC) x (OC, nb*P) GEMM viewed as
+      (nb, C, k, k, OH, OW); col2im adds gcols[:, :, i, j] into the
+      padded input gradient, one strided slice-add per tap, each reading
+      contiguous OW rows.
+
+    A chunk holds as few samples as give at least _MIN_GEMM_COLS columns:
+    up to 16 samples at 8x8 share one GEMM, 4 at 16x16, and layers from
+    32x32 up run one sample at a time, so their im2col buffers stay one
+    sample in size instead of the batch's.
+    """
     if cache is None:
         raise ValueError("conv2d_backward requires the forward cache (run forward first)")
     oh, ow = cache.out_spatial
@@ -101,20 +127,29 @@ def conv2d_backward(
             f"{(n, spec.out_channels, oh, ow)}"
         )
     g = grad_out.data
-    win = _window_view(cache.padded, spec, oh, ow)
-    kernel.add_grad(np.tensordot(g, win, axes=([0, 2, 3], [0, 4, 5])))
     if bias is not None:
         bias.add_grad(g.sum(axis=(0, 2, 3)))
 
-    # scatter grad back through the taps: one strided slice-add per kernel tap
-    gw = np.tensordot(g, kernel.value, axes=([1], [0]))  # (N, OH, OW, C, k, k)
-    gw = gw.transpose(0, 3, 4, 5, 1, 2)                  # (N, C, k, k, OH, OW)
-    gpad = np.zeros_like(cache.padded)
     k, s, d = spec.kernel, spec.stride, spec.dilation
-    for i in range(k):
-        for j in range(k):
-            gpad[:, :, i * d : i * d + (oh - 1) * s + 1 : s,
-                 j * d : j * d + (ow - 1) * s + 1 : s] += gw[:, :, i, j]
+    oc, ck, p = spec.out_channels, c * k * k, oh * ow
+    win = _window_view(cache.padded, spec, oh, ow)
+    kmat_t = kernel.value.reshape(oc, ck).T
+    gk = np.zeros((oc, ck), dtype=g.dtype)
+    gpad = np.zeros_like(cache.padded)
+    step = -(-_MIN_GEMM_COLS // p)
+    for b0 in range(0, n, step):
+        b1 = min(n, b0 + step)
+        cols = win[b0:b1].transpose(1, 2, 3, 0, 4, 5).reshape(ck, (b1 - b0) * p)
+        gt = g[b0:b1].transpose(1, 0, 2, 3).reshape(oc, (b1 - b0) * p)
+        gk += gt @ cols.T
+        del cols
+        gcols = (kmat_t @ gt).reshape(c, k, k, b1 - b0, oh, ow).transpose(3, 0, 1, 2, 4, 5)
+        gp = gpad[b0:b1]
+        for i in range(k):
+            for j in range(k):
+                gp[:, :, i * d : i * d + (oh - 1) * s + 1 : s,
+                   j * d : j * d + (ow - 1) * s + 1 : s] += gcols[:, :, i, j]
+    kernel.add_grad(gk.reshape(kernel.value.shape))
     pt, pl = cache.pad_top, cache.pad_left
     return Tensor(np.ascontiguousarray(gpad[:, :, pt : pt + h, pl : pl + w]))
 

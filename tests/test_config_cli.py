@@ -263,6 +263,14 @@ class TestCliEvaluate:
         (b / "s.pgm").write_bytes(write_mask_pgm(np.zeros((2, 3), dtype=np.int64)))
         assert cli.main(["evaluate", "--pred", str(a), "--gt", str(b)]) == 2
 
+    def test_truncated_pgm_header_exits_2(self, tmp_path):
+        a = tmp_path / "a"
+        b = tmp_path / "b"
+        a.mkdir(), b.mkdir()
+        (a / "s.pgm").write_bytes(b"P5\n12")
+        (b / "s.pgm").write_bytes(write_mask_pgm(np.zeros((2, 2), dtype=np.int64)))
+        assert cli.main(["evaluate", "--pred", str(a), "--gt", str(b)]) == 2
+
     def test_json_output(self, synth_dir, tmp_path):
         import json
         out = tmp_path / "metrics.json"

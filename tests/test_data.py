@@ -290,6 +290,52 @@ class TestNetpbm:
                 np.testing.assert_array_equal(rgb[pos[0][0], pos[0][1]], color)
 
 
+    @pytest.mark.parametrize("raw", [
+        b"P5\n12",                  # truncated: height and maxval missing
+        b"P5\n",                    # truncated: no fields at all
+        b"P5\n4 4\n# comment",      # truncated inside a comment
+        b"P5\nab 4 255\n",          # non-integer width
+        b"P5\n4 4.0 255\n",         # non-integer height
+        b"P5\n-4 4 255\n",          # negative width
+        b"P5\n4 -1 255\n",          # negative height
+        b"P5\n0 4 255\n",           # zero width
+        b"P5\n4 0 255\n",           # zero height
+        b"P5\n+2 1 255\n\0\0",      # sign is not part of the format
+    ])
+    def test_malformed_pgm_header_is_data_error(self, raw):
+        with pytest.raises(DataFormatError):
+            read_pgm(raw)
+
+    def test_malformed_ppm_header_is_data_error(self):
+        with pytest.raises(DataFormatError, match="not a decimal integer"):
+            read_ppm(b"P6\n2 x 255\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        color=st.booleans(),
+        h=st.integers(1, 5),
+        w=st.integers(1, 5),
+        cut=st.integers(0, 200),
+        flips=st.lists(st.tuples(st.integers(0, 200), st.integers(0, 7)), max_size=4),
+    )
+    def test_fuzzed_netpbm_parses_or_is_data_error(self, color, h, w, cut, flips):
+        """Truncations and bit flips of a valid file either parse or raise
+        DataFormatError; no other exception escapes the reader."""
+        if color:
+            raw = bytearray(write_fused_ppm(np.zeros((h, w), dtype=np.int64)))
+            reader = read_ppm
+        else:
+            raw = bytearray(write_mask_pgm(np.ones((h, w), dtype=np.int64)))
+            reader = read_pgm
+        for pos, bit in flips:
+            raw[pos % len(raw)] ^= 1 << bit
+        raw = bytes(raw[: min(cut, len(raw))])
+        try:
+            reader(raw)
+        except DataFormatError:
+            pass
+
+
 class TestFuse:
     def test_argmax_among_candidates(self):
         probs = [np.full((1, 1, 1), v) for v in (0.9, 0.2, 0.1, 0.6, 0.3)]

@@ -379,3 +379,35 @@ class TestCheckpoint:
         path.write_bytes(raw[: len(raw) - 64])
         with pytest.raises(DataFormatError, match="truncated"):
             load_checkpoint(path)
+
+    def test_rejects_trailing_payload_bytes(self, tmp_path):
+        net = build(TINY)
+        path = tmp_path / "trail.ckpt"
+        save_checkpoint(path, net, 0, 0.0)
+        path.write_bytes(path.read_bytes() + b"\x00" * 4)
+        with pytest.raises(DataFormatError, match="4 trailing bytes"):
+            load_checkpoint(path)
+
+    def test_failed_save_leaves_previous_checkpoint_whole(self, tmp_path, monkeypatch):
+        """A save that raises after writing part of the file keeps the old
+        best.ckpt byte for byte and leaves no temporary file behind."""
+        import seget.checkpoint as checkpoint
+
+        path = tmp_path / "best.ckpt"
+        save_checkpoint(path, build(TINY, seed=1), 1, 0.25)
+        before = path.read_bytes()
+
+        real_items = checkpoint._array_items
+
+        def items_failing_late(net):
+            # a last "array" that cannot be converted to the payload dtype:
+            # the header and every real array are written before it raises
+            return real_items(net) + [("bogus", np.array(["x"]))]
+
+        monkeypatch.setattr(checkpoint, "_array_items", items_failing_late)
+        with pytest.raises(ValueError):
+            save_checkpoint(path, build(TINY, seed=2), 2, 0.5)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["best.ckpt"]
+        monkeypatch.undo()
+        assert load_checkpoint(path)[1] == {"epoch": 1, "val_miou": 0.25}

@@ -1,6 +1,8 @@
 """Operator-level tests: forward values against independent oracles,
 backward passes against finite differences, and the type invariants."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -184,6 +186,61 @@ class TestConv2dBackward:
         once = kernel.grad.copy()
         ops.conv2d_backward(g, cache, spec, kernel, bias)
         np.testing.assert_allclose(kernel.grad, 2 * once)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        geometry=st.sampled_from([(1, 1), (1, 2), (1, 4), (2, 1)]),  # (stride, dilation)
+        k=st.sampled_from([1, 3]),
+        n=st.integers(2, 3),
+        channels=st.sampled_from([(1, 2), (2, 3), (3, 2), (2, 1)]),
+        h=st.integers(3, 9),
+        w=st.integers(3, 9),
+        with_bias=st.booleans(),
+        gemm_cols=st.sampled_from([1, 40, 1024]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_naive_oracle(self, geometry, k, n, channels, h, w, with_bias,
+                                  gemm_cols, seed):
+        """Input gradient is the adjoint of the oracle conv; kernel gradient
+        matches the oracle on one-hot kernels; bias gradient sums grad_out.
+        gemm_cols forces one-sample, mixed and whole-batch GEMM chunks."""
+        stride, dilation = geometry
+        c, oc = channels
+        spec = ConvSpec(c, oc, kernel=k, stride=stride, dilation=dilation)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, c, h, w))
+        kv = rng.standard_normal((oc, c, k, k))
+        kernel, bias = make_conv(spec, kv, rng.standard_normal(oc))
+        bias = bias if with_bias else None
+        y, cache = ops.conv2d_forward(Tensor(x), spec, kernel, bias)
+        k32 = Parameter(kv.astype(np.float32), "conv-kernel", regularized=True)
+        _, cache32 = ops.conv2d_forward(Tensor(x.astype(np.float32)), spec, k32, None)
+        g = rng.standard_normal(y.shape)
+        with mock.patch.object(ops, "_MIN_GEMM_COLS", gemm_cols):
+            gx = ops.conv2d_backward(Tensor(g), cache, spec, kernel, bias).data
+            gx32 = ops.conv2d_backward(Tensor(g.astype(np.float32)), cache32, spec, k32, None).data
+
+        # <conv(x), g> = <x, conv^T(g)> for the linear (bias-free) part
+        lhs = np.vdot(naive_conv2d(x, kv, np.zeros(oc), stride, dilation), g)
+        assert abs(lhs - np.vdot(x, gx)) <= 1e-10 * max(1.0, abs(lhs))
+
+        # dL/dK[o, c, i, j] = <conv(x, one-hot tap (c, i, j)), g[:, o]>
+        ref = np.zeros_like(kv)
+        for ci in range(c):
+            for i in range(k):
+                for j in range(k):
+                    onehot = np.zeros((1, c, k, k))
+                    onehot[0, ci, i, j] = 1.0
+                    tap = naive_conv2d(x, onehot, np.zeros(1), stride, dilation)[:, 0]
+                    ref[:, ci, i, j] = np.einsum("nhw,nohw->o", tap, g)
+        np.testing.assert_allclose(kernel.grad, ref, rtol=1e-10, atol=1e-10)
+        if with_bias:
+            np.testing.assert_allclose(bias.grad, g.sum(axis=(0, 2, 3)), rtol=1e-12)
+
+        # float32 agrees with float64 to 1e-5 of the largest magnitude
+        assert gx32.dtype == np.float32 and k32.grad.dtype == np.float32
+        assert np.max(np.abs(gx32 - gx)) <= 1e-5 * np.max(np.abs(gx))
+        assert np.max(np.abs(k32.grad - ref)) <= 1e-5 * np.max(np.abs(ref))
 
 
 class TestBatchNorm:
