@@ -143,8 +143,13 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def _predict_volume(net, images: np.ndarray, window: int, stride: int,
                     batch_size: int = 8) -> np.ndarray:
-    """Per-slice patch inference with mean-overlap stitching."""
+    """Per-slice patch inference with mean-overlap stitching; edge-aligned
+    last windows cover the strips a stride that does not divide
+    extent - window would leave out."""
     nz, h, w = images.shape
+    if not 1 <= stride <= window:
+        # a stride beyond the window leaves gaps between windows
+        raise ConfigError(f"predict --stride must lie in [1, --window={window}], got {stride}")
     factor = net.config.downsample_factor
     if window % factor:
         raise DataFormatError(
@@ -154,7 +159,7 @@ def _predict_volume(net, images: np.ndarray, window: int, stride: int,
     dt = net.config.np_dtype
     for s in range(nz):
         try:
-            origins = dp.window_origins(h, w, window, stride)
+            origins = dp.window_origins(h, w, window, stride, edge_aligned=True)
         except DataFormatError as exc:
             raise DataFormatError(f"slice {s}: {exc}") from exc
         entries = []

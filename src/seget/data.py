@@ -112,18 +112,28 @@ class Patch:
         return bool(np.any(self.mask))
 
 
-def window_origins(h: int, w: int, window: int, stride: int) -> list[tuple[int, int]]:
+def window_origins(h: int, w: int, window: int, stride: int,
+                   edge_aligned: bool = False) -> list[tuple[int, int]]:
     """Origins of fully-contained windows: (i*stride, j*stride), giving
-    floor((extent - window)/stride) + 1 placements per axis."""
+    floor((extent - window)/stride) + 1 placements per axis.
+
+    With edge_aligned, an axis whose placements stop short of its far edge,
+    (extent - window) % stride != 0, gets one more window ending at that
+    edge, so that with stride <= window the windows cover every pixel (the
+    overlap-tile strategy of U-Net, Ronneberger et al. 2015). Training
+    keeps the plain grid."""
     if window > h or window > w:
         raise DataFormatError(f"window {window} exceeds slice extents {(h, w)}")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    return [
-        (i * stride, j * stride)
-        for i in range((h - window) // stride + 1)
-        for j in range((w - window) // stride + 1)
-    ]
+
+    def starts(extent: int) -> list[int]:
+        out = list(range(0, extent - window + 1, stride))
+        if edge_aligned and out[-1] != extent - window:
+            out.append(extent - window)
+        return out
+
+    return [(y, x) for y in starts(h) for x in starts(w)]
 
 
 def extract_patches(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,13 +26,80 @@ logger = logging.getLogger(__name__)
 # conv2d
 # ---------------------------------------------------------------------------
 
+# Convolution runs as a loop over kernel taps (i, j), each one GEMM that
+# reads a shifted column slice of one zero-padded copy of the input, in
+# the manner of the accumulating kn2row algorithms of Anderson et al.,
+# "Low-memory GEMM-based convolution algorithms for deep neural networks"
+# (2017). The layout, with s the stride:
+#
+# - The padded input is split into s x s phases, phase (a, b) holding the
+#   padded pixels (y, x) with y % s == a and x % s == b at phase position
+#   (y // s, x // s). Stride 1 has the single phase (0, 0).
+# - Each phase is stored channel-major and flat, as (C, N*Hr*Wr) plus a
+#   short zero tail: sample n, phase row r, phase column q sits at column
+#   n*Hr*Wr + r*Wr + q. The pitch (Hr, Wr) is the padded phase extent minus
+#   the zeros that neighbours share: the right padding of one row is the
+#   left padding of the next, the bottom padding of one sample the top
+#   padding of the next (stride 1: Wr = W + max(left, right) pad).
+# - Output pixel (n, oy, ox) reads padded pixel (oy*s + i*d, ox*s + j*d)
+#   for tap (i, j), which lies in phase (i*d % s, j*d % s) at column
+#   n*Hr*Wr + oy*Wr + ox + off with off = (i*d // s)*Wr + j*d // s. So tap
+#   (i, j) is the GEMM out[:, m] += K[:, :, i, j] @ phase[:, m + off] over
+#   the output grid columns m < M = (N-1)*Hr*Wr + (OH-1)*Wr + OW, one
+#   contiguous slice per tap. Grid columns with oy >= OH or ox >= OW hold
+#   garbage and are cropped away.
+#
+# A tap whose window lies wholly in the zero padding reads only zeros, so
+# it is skipped in both directions; this is exact, and it leaves the
+# dilation-8 branch on an 8x8 map one tap of nine. The M columns go in
+# blocks of _BLOCK_COLS, one temporary reused per block, so the operands
+# of a block stay in cache.
+#
+# Narrow inputs: with C channels a tap GEMM has inner dimension C, and
+# below _MIN_GEMM_DEPTH that is too shallow for BLAS (at C = 1 np.matmul
+# runs an outer product about 15x slower than a broadcast multiply). So
+# ceil(_MIN_GEMM_DEPTH / C) consecutive taps share one GEMM, their slices
+# copied into the rows of one block-sized operand; the single-channel
+# input conv runs all nine taps as one GEMM of depth 9. Layers with
+# C >= _MIN_GEMM_DEPTH read their input in place. An inner dimension of 1
+# that remains (one live tap on one channel, or the input gradient of a
+# single-output conv) runs as a broadcast multiply.
+#
+# The grid columns run on to a whole multiple of _COL_QUANTUM (the extra
+# columns read zeros and are cropped), so that every block but a forced
+# odd _BLOCK_COLS is a multiple of it. The kernel gradient's GEMMs reduce
+# over a block's columns, and OpenBLAS splits such a long reduction into
+# panels differently with one thread than with several unless its length
+# is a multiple of 64: measured on OpenBLAS 0.3.31, reductions of 500,
+# 962 or 4097 give bits that depend on OPENBLAS_NUM_THREADS, and every
+# multiple of 64 up to 4160 does not.
+_BLOCK_COLS = 4096
+_COL_QUANTUM = 64
+_MIN_GEMM_DEPTH = 16
+
+
+class _Tap(NamedTuple):
+    i: int
+    j: int
+    a: int    # phase row
+    b: int    # phase column
+    off: int  # column offset of the slice the tap reads
+
+
+class _AxisLayout(NamedTuple):
+    pitch: int       # layout rows per sample (columns per row)
+    spans: tuple[tuple[int, int, int], ...]  # per phase: first input index, its phase index, count
+
+
 @dataclass
 class Conv2dCache:
-    padded: np.ndarray            # zero-padded input, N,C,Hp,Wp
+    padded: np.ndarray            # zero-padded input in the tap layout, (s, s, C, L)
     input_shape: tuple[int, int, int, int]
-    pad_top: int
-    pad_left: int
     out_spatial: tuple[int, int]
+    rows: _AxisLayout
+    cols: _AxisLayout
+    taps: list[_Tap]              # live taps only
+    grid_cols: int                # columns the tap GEMMs span, a multiple of _COL_QUANTUM
 
 
 def _same_padding(h: int, w: int, spec: ConvSpec) -> tuple[int, int, int, int, int, int]:
@@ -43,17 +111,68 @@ def _same_padding(h: int, w: int, spec: ConvSpec) -> tuple[int, int, int, int, i
     return oh, ow, ph // 2, ph - ph // 2, pw // 2, pw - pw // 2
 
 
-def _window_view(padded: np.ndarray, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
-    """Strided view (N, C, k, k, OH, OW) over the padded input; no copy."""
-    n, c = padded.shape[:2]
-    sn, sc, sh, sw = padded.strides
-    k, s, d = spec.kernel, spec.stride, spec.dilation
-    return np.lib.stride_tricks.as_strided(
-        padded,
-        shape=(n, c, k, k, oh, ow),
-        strides=(sn, sc, sh * d, sw * d, sh * s, sw * s),
-        writeable=False,
-    )
+def _axis_layout(extent: int, pad_lo: int, pad_hi: int, stride: int, out: int) -> _AxisLayout:
+    padded = -(-(extent + pad_lo + pad_hi) // stride)
+    spans = []
+    for a in range(stride):
+        first = (a - pad_lo) % stride
+        spans.append((first, (first + pad_lo) // stride, len(range(first, extent, stride))))
+    # Data of every phase ends before the pitch, and the positions past
+    # the pitch that a tap reads alias the next sample's (row's) leading
+    # padding, which every phase has at least padded - pitch of.
+    pitch = max(out, max(p + n for _, p, n in spans), padded - min(p for _, p, _ in spans))
+    return _AxisLayout(pitch, tuple(spans))
+
+
+def _live(k: int, d: int, s: int, out: int, pad: int, extent: int) -> list[int]:
+    """Kernel offsets along one axis whose window reads some input."""
+    return [t for t in range(k) if pad <= t * d + (out - 1) * s and t * d < pad + extent]
+
+
+def _phase_views(layout: np.ndarray, cache: Conv2dCache):
+    """(input index, layout view) per phase: x[:, :, rows, cols] sits at view."""
+    s, _, c, _ = layout.shape
+    n = cache.input_shape[0]
+    hr, wr = cache.rows.pitch, cache.cols.pitch
+    for a, (r0, y0, ny) in enumerate(cache.rows.spans):
+        for b, (c0, x0, nx) in enumerate(cache.cols.spans):
+            grid = layout[a, b, :, : n * hr * wr].reshape(c, n, hr, wr)
+            yield (slice(r0, None, s), slice(c0, None, s)), grid[:, :, y0 : y0 + ny, x0 : x0 + nx]
+
+
+def _tap_groups(cache: Conv2dCache, kernel: np.ndarray,
+                width: int) -> tuple[list[tuple[list[_Tap], np.ndarray]], np.ndarray | None]:
+    """Live taps in GEMMs of depth >= _MIN_GEMM_DEPTH where the channels
+    allow, each with its kernel matrix (OC, taps*C), plus the operand
+    buffer that groups of more than one tap copy their slices into."""
+    c = cache.input_shape[1]
+    size = -(-_MIN_GEMM_DEPTH // c)
+    groups = [cache.taps[t : t + size] for t in range(0, len(cache.taps), size)]
+    buf = np.empty((len(groups[0]) * c, width), dtype=cache.padded.dtype) if size > 1 else None
+    return [(g, np.concatenate([kernel[:, :, t.i, t.j] for t in g], axis=1)) for g in groups], buf
+
+
+def _operand(layout: np.ndarray, taps: list[_Tap], m0: int, m1: int,
+             buf: np.ndarray | None) -> np.ndarray:
+    """The (taps*C, m1-m0) GEMM operand of a tap group for one block: a
+    view into the layout for a single tap, else its slices copied into buf."""
+    if len(taps) == 1:
+        t = taps[0]
+        return layout[t.a, t.b, :, t.off + m0 : t.off + m1]
+    c = layout.shape[2]
+    op = buf[: len(taps) * c, : m1 - m0]
+    for r, t in enumerate(taps):
+        op[r * c : (r + 1) * c] = layout[t.a, t.b, :, t.off + m0 : t.off + m1]
+    return op
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """out = a @ b; an inner dimension of 1 is an outer product, which a
+    broadcast multiply runs far faster than np.matmul."""
+    if a.shape[1] == 1:
+        np.multiply(a, b, out=out)
+    else:
+        np.matmul(a, b, out=out)
 
 
 def conv2d_forward(
@@ -63,6 +182,8 @@ def conv2d_forward(
 
     bias may be None for bias-free convolutions (a conv feeding straight
     into batch normalization has its bias absorbed by the mean shift).
+    Runs as the tap loop described above; the cache keeps the input in
+    the tap layout for the backward pass.
     """
     n, c, h, w = x.shape
     if c != spec.in_channels:
@@ -73,20 +194,40 @@ def conv2d_forward(
     if kernel.value.shape != expected:
         raise ValueError(f"kernel shape {kernel.value.shape} does not match spec {expected}")
     oh, ow, pt, pb, pl, pr = _same_padding(h, w, spec)
-    padded = np.pad(x.data, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
-    win = _window_view(padded, spec, oh, ow)
-    out = np.tensordot(kernel.value, win, axes=([1, 2, 3], [1, 2, 3]))  # (OC, N, OH, OW)
-    out = np.ascontiguousarray(out.transpose(1, 0, 2, 3))
+    k, s, d, oc = spec.kernel, spec.stride, spec.dilation, spec.out_channels
+    rows = _axis_layout(h, pt, pb, s, oh)
+    cols = _axis_layout(w, pl, pr, s, ow)
+    hr, wr = rows.pitch, cols.pitch
+    taps = [
+        _Tap(i, j, i * d % s, j * d % s, i * d // s * wr + j * d // s)
+        for i in _live(k, d, s, oh, pt, h)
+        for j in _live(k, d, s, ow, pl, w)
+    ]
+    dtype = np.result_type(x.data, kernel.value)
+    last = (n - 1) * hr * wr + (oh - 1) * wr + ow  # one past the last output pixel
+    m = -(-last // _COL_QUANTUM) * _COL_QUANTUM
+    length = max(n * hr * wr, m + max(t.off for t in taps))  # the tap slices end by m + off
+    layout = np.zeros((s, s, c, length), dtype=dtype)
+    cache = Conv2dCache(layout, x.shape, (oh, ow), rows, cols, taps, m)
+    xt = x.data.transpose(1, 0, 2, 3)
+    for src, view in _phase_views(layout, cache):
+        view[...] = xt[(slice(None), slice(None), *src)]
+
+    out = np.zeros((oc, max(m, n * hr * wr)), dtype=dtype)
+    width = min(_BLOCK_COLS, m)
+    groups, buf = _tap_groups(cache, kernel.value, width)
+    tmp = np.empty((oc, width), dtype=dtype)
+    for m0 in range(0, m, _BLOCK_COLS):
+        m1 = min(m, m0 + _BLOCK_COLS)
+        acc, t = out[:, m0:m1], tmp[:, : m1 - m0]
+        for group, kmat in groups:
+            _matmul(kmat, _operand(layout, group, m0, m1, buf), t)
+            acc += t
+    y = out[:, : n * hr * wr].reshape(oc, n, hr, wr)[:, :, :oh, :ow]
+    y = np.ascontiguousarray(y.transpose(1, 0, 2, 3))
     if bias is not None:
-        out += bias.value.reshape(1, -1, 1, 1)
-    cache = Conv2dCache(padded, x.shape, pt, pl, (oh, ow))
-    return Tensor(out), cache
-
-
-# Output pixels a conv2d_backward GEMM spans at least: enough columns for
-# BLAS to run near its speed, few enough that the im2col buffer of a
-# full-resolution layer holds one sample.
-_MIN_GEMM_COLS = 1024
+        y += bias.value.reshape(1, -1, 1, 1)
+    return Tensor(y), cache
 
 
 def conv2d_backward(
@@ -98,24 +239,17 @@ def conv2d_backward(
 ) -> Tensor:
     """Gradient wrt the conv input; accumulates kernel.grad and bias.grad.
 
-    Both gradients are GEMMs against the im2col layout of the forward
-    window view (Chellapilla et al. 2006). Samples go in chunks of nb;
-    with P = OH*OW output pixels and CK = C*k*k taps, per chunk:
+    The forward's tap loop run backwards over the same slices and blocks.
+    grad_out is zero-extended onto the output grid as g (OC, N*Hr*Wr), so
+    the cropped grid columns contribute nothing; per live tap group and
+    block, with slice the group's operand:
 
-    - cols = im2col(padded input) as (CK, nb*P), rows ordered (c, i, j)
-      and columns (sample, oh, ow), so the gather copy reads whole OW
-      rows of the padded input;
-    - gt = grad_out as (OC, nb*P);
-    - kernel gradient += gt @ cols.T, an (OC, nb*P) x (nb*P, CK) GEMM;
-    - gcols = kmat.T @ gt, a (CK, OC) x (OC, nb*P) GEMM viewed as
-      (nb, C, k, k, OH, OW); col2im adds gcols[:, :, i, j] into the
-      padded input gradient, one strided slice-add per tap, each reading
-      contiguous OW rows.
+    - kernel gradient of the group += g[:, block] @ slice.T;
+    - the layout gradient at the slice += K_group.T @ g[:, block].
 
-    A chunk holds as few samples as give at least _MIN_GEMM_COLS columns:
-    up to 16 samples at 8x8 share one GEMM, 4 at 16x16, and layers from
-    32x32 up run one sample at a time, so their im2col buffers stay one
-    sample in size instead of the batch's.
+    The input gradient is the layout gradient read back out of its phases,
+    which drops the padding. Skipped (dead) taps read only zeros, so their
+    kernel gradient is 0 and their input gradient lands in the padding.
     """
     if cache is None:
         raise ValueError("conv2d_backward requires the forward cache (run forward first)")
@@ -130,28 +264,35 @@ def conv2d_backward(
     if bias is not None:
         bias.add_grad(g.sum(axis=(0, 2, 3)))
 
-    k, s, d = spec.kernel, spec.stride, spec.dilation
-    oc, ck, p = spec.out_channels, c * k * k, oh * ow
-    win = _window_view(cache.padded, spec, oh, ow)
-    kmat_t = kernel.value.reshape(oc, ck).T
-    gk = np.zeros((oc, ck), dtype=g.dtype)
-    gpad = np.zeros_like(cache.padded)
-    step = -(-_MIN_GEMM_COLS // p)
-    for b0 in range(0, n, step):
-        b1 = min(n, b0 + step)
-        cols = win[b0:b1].transpose(1, 2, 3, 0, 4, 5).reshape(ck, (b1 - b0) * p)
-        gt = g[b0:b1].transpose(1, 0, 2, 3).reshape(oc, (b1 - b0) * p)
-        gk += gt @ cols.T
-        del cols
-        gcols = (kmat_t @ gt).reshape(c, k, k, b1 - b0, oh, ow).transpose(3, 0, 1, 2, 4, 5)
-        gp = gpad[b0:b1]
-        for i in range(k):
-            for j in range(k):
-                gp[:, :, i * d : i * d + (oh - 1) * s + 1 : s,
-                   j * d : j * d + (ow - 1) * s + 1 : s] += gcols[:, :, i, j]
-    kernel.add_grad(gk.reshape(kernel.value.shape))
-    pt, pl = cache.pad_top, cache.pad_left
-    return Tensor(np.ascontiguousarray(gpad[:, :, pt : pt + h, pl : pl + w]))
+    layout = cache.padded
+    dtype = layout.dtype
+    oc, hr, wr, m = spec.out_channels, cache.rows.pitch, cache.cols.pitch, cache.grid_cols
+    gext = np.zeros((oc, max(m, n * hr * wr)), dtype=dtype)
+    gext[:, : n * hr * wr].reshape(oc, n, hr, wr)[:, :, :oh, :ow] = g.transpose(1, 0, 2, 3)
+    width = min(_BLOCK_COLS, m)
+    groups, buf = _tap_groups(cache, kernel.value, width)
+    gk_groups = [np.zeros_like(kmat, dtype=dtype) for _, kmat in groups]
+    glayout = np.zeros_like(layout)
+    tmp = np.empty((len(groups[0][0]) * c, width), dtype=dtype)
+    for m0 in range(0, m, _BLOCK_COLS):
+        m1 = min(m, m0 + _BLOCK_COLS)
+        gb = gext[:, m0:m1]
+        for (group, kmat), gk in zip(groups, gk_groups):
+            gk += gb @ _operand(layout, group, m0, m1, buf).T
+            t = tmp[: len(group) * c, : m1 - m0]
+            _matmul(kmat.T, gb, t)
+            for r, tap in enumerate(group):
+                glayout[tap.a, tap.b, :, tap.off + m0 : tap.off + m1] += t[r * c : (r + 1) * c]
+    gkernel = np.zeros_like(kernel.value)
+    for (group, _), gk in zip(groups, gk_groups):
+        for r, tap in enumerate(group):
+            gkernel[:, :, tap.i, tap.j] = gk[:, r * c : (r + 1) * c]
+    kernel.add_grad(gkernel)
+    gx = np.empty((n, c, h, w), dtype=dtype)
+    gxt = gx.transpose(1, 0, 2, 3)
+    for dst, view in _phase_views(glayout, cache):
+        gxt[(slice(None), slice(None), *dst)] = view
+    return Tensor(gx)
 
 
 # ---------------------------------------------------------------------------

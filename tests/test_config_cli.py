@@ -219,6 +219,36 @@ class TestCliPredict:
             outs.append(b"".join(p.read_bytes() for p in sorted(out.glob("*.pgm"))))
         assert outs[0] == outs[1]
 
+    def test_edge_windows_cover_the_slice(self, synth_dir, trained_dir, tmp_path, caplog):
+        """Window 16, stride 12 on 32 px: windows at 0 and 12 stop at 28, so
+        an edge window at 16 covers the last strip with real predictions."""
+        from seget.data import normalize, read_mrc
+        out = tmp_path / "edge"
+        with caplog.at_level("WARNING"):
+            rc = cli.main([
+                "predict", "--checkpoint", str(trained_dir / "best.ckpt"),
+                "--volume", str(synth_dir / "volume.mrc"),
+                "--out-dir", str(out), "--window", "16", "--stride", "12",
+                "--save-probs",
+            ])
+        assert rc == 0
+        assert not any("uncovered" in r.message for r in caplog.records)
+        probs = np.load(out / "probs.npy")
+        net, _ = load_checkpoint(trained_dir / "best.ckpt")
+        images = normalize(read_mrc(synth_dir / "volume.mrc"))
+        x = Tensor(images[0, 16:, 16:][None, None].astype(np.float32))
+        corner = sigmoid(net.forward(x, mode="infer").data[0, 0])
+        # only the edge window reaches rows and columns 28..31
+        np.testing.assert_allclose(probs[0, 28:, 28:], corner[12:, 12:], rtol=1e-6, atol=1e-7)
+
+    def test_stride_beyond_window_exits_1(self, synth_dir, trained_dir, tmp_path):
+        rc = cli.main([
+            "predict", "--checkpoint", str(trained_dir / "best.ckpt"),
+            "--volume", str(synth_dir / "volume.mrc"),
+            "--out-dir", str(tmp_path / "x"), "--window", "16", "--stride", "20",
+        ])
+        assert rc == 1
+
     def test_indivisible_window_exits_2(self, synth_dir, trained_dir, tmp_path):
         rc = cli.main([
             "predict", "--checkpoint", str(trained_dir / "best.ckpt"),

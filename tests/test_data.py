@@ -85,6 +85,33 @@ class TestParseMrc:
         vol = parse_mrc(mrc_fixture(2, 2, 1, mode=2, payload=p32))
         np.testing.assert_array_equal(vol.data[0], [[-1.5, 0.0], [0.25, 8.0]])
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cut=st.integers(0, 1024 + 512),
+        flips=st.lists(st.tuples(st.integers(0, 1023), st.integers(0, 7)), max_size=4),
+        payload_flip=st.integers(0, 511),
+    )
+    def test_fuzzed_mrc_parses_or_is_data_error(self, cut, flips, payload_flip):
+        """Truncations and header bit flips of a valid 16x16x2 volume either
+        parse or raise DataFormatError; no other exception escapes."""
+        raw = bytearray(mrc_fixture(16, 16, 2, payload=bytes(range(256)) * 2))
+        for pos, bit in flips:
+            raw[pos] ^= 1 << bit
+        raw[1024 + payload_flip] ^= 0x80
+        try:
+            vol = parse_mrc(bytes(raw[:cut]))
+        except DataFormatError:
+            return
+        assert vol.data.shape == (vol.nz, vol.ny, vol.nx)
+
+    @settings(max_examples=200, deadline=None)
+    @given(header=st.binary(min_size=0, max_size=1100), tail=st.binary(max_size=64))
+    def test_random_bytes_parse_or_are_data_error(self, header, tail):
+        try:
+            parse_mrc(header + tail)
+        except DataFormatError:
+            pass
+
     def test_header_fields_lossless(self):
         raw = mrc_fixture(4, 3, 2, payload=bytes(24))
         vol = parse_mrc(raw)
@@ -157,6 +184,34 @@ class TestPatching:
             return
         expected = ((extent - window) // stride + 1) ** 2
         assert len(window_origins(extent, extent, window, stride)) == expected
+
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_edge_aligned_windows_cover_every_pixel(self, data):
+        """For every window <= h, w and stride <= window (predict rejects a
+        larger stride, which leaves gaps between windows)."""
+        h, w = data.draw(st.integers(1, 80)), data.draw(st.integers(1, 80))
+        window = data.draw(st.integers(1, min(h, w)))
+        stride = data.draw(st.integers(1, window))
+        origins = window_origins(h, w, window, stride, edge_aligned=True)
+        cover = np.zeros((h, w), dtype=bool)
+        for y, x in origins:
+            assert 0 <= y <= h - window and 0 <= x <= w - window
+            cover[y : y + window, x : x + window] = True
+        assert cover.all()
+        assert len(set(origins)) == len(origins)
+        # the plain grid plus at most one edge window per axis
+        grid = window_origins(h, w, window, stride)
+        assert set(grid) <= set(origins)
+        per_axis = [(e - window) // stride + 1 + ((e - window) % stride != 0) for e in (h, w)]
+        assert len(origins) == per_axis[0] * per_axis[1]
+
+    def test_edge_window_ends_at_far_edge(self):
+        """100 px, window 64, stride 32: 0 and 32 leave 4 px, so 36 joins."""
+        origins = window_origins(100, 100, 64, 32, edge_aligned=True)
+        assert sorted({y for y, _ in origins}) == [0, 32, 36]
+        assert len(window_origins(100, 100, 64, 32)) == 4
 
 
 class TestHoldout:

@@ -6,6 +6,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seget.checkpoint import load_checkpoint, save_checkpoint
 from seget.errors import DataFormatError
@@ -302,6 +304,16 @@ class TestProbes:
         ]
 
 
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory) -> bytes:
+    """A depth-1, base-1 checkpoint, so that a flipped digit in its config
+    cannot ask for a large network."""
+    path = tmp_path_factory.mktemp("fuzz") / "small.ckpt"
+    net = build(NetworkConfig(base_filters=1, depth=1, dilation_rates=(1,)), seed=0)
+    save_checkpoint(path, net, epoch=1, val_miou=0.5)
+    return path.read_bytes()
+
+
 class TestCheckpoint:
     def test_round_trip_preserves_inference(self, tmp_path):
         cfg = SMALL
@@ -315,6 +327,37 @@ class TestCheckpoint:
         after = loaded.forward(x, mode="infer")
         np.testing.assert_array_equal(before.data, after.data)
         assert meta == {"epoch": 3, "val_miou": 0.5}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cut=st.integers(0, 2**16),
+        flips=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 7)), max_size=3),
+    )
+    def test_fuzzed_checkpoint_loads_or_is_data_error(self, small_checkpoint, tmp_path_factory,
+                                                      cut, flips):
+        """Truncations and bit flips, mostly in the header, of a small
+        checkpoint either load or raise DataFormatError."""
+        raw = bytearray(small_checkpoint)
+        header_end = 16 + struct.unpack_from("<Q", raw, 8)[0]
+        for pos, bit in flips:
+            raw[pos % header_end if pos % 4 else pos % len(raw)] ^= 1 << bit
+        path = tmp_path_factory.getbasetemp() / "fuzzed.ckpt"
+        path.write_bytes(bytes(raw[: cut % (len(raw) + 1)]))
+        try:
+            load_checkpoint(path)
+        except DataFormatError:
+            pass
+
+    @settings(max_examples=100, deadline=None)
+    @given(prefix=st.sampled_from([b"", b"SGET", b"SGET\x01\x00\x00\x00"]),
+           body=st.binary(max_size=256))
+    def test_random_bytes_load_or_are_data_error(self, tmp_path_factory, prefix, body):
+        path = tmp_path_factory.getbasetemp() / "random.ckpt"
+        path.write_bytes(prefix + body)
+        try:
+            load_checkpoint(path)
+        except DataFormatError:
+            pass
 
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"

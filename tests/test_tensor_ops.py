@@ -1,6 +1,10 @@
 """Operator-level tests: forward values against independent oracles,
 backward passes against finite differences, and the type invariants."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -108,6 +112,40 @@ class TestConv2dForward:
                 rtol=1e-12, atol=1e-12,
             )
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        geometry=st.sampled_from([(1, 1), (1, 2), (1, 4), (1, 8), (2, 1)]),  # (stride, dilation)
+        k=st.sampled_from([1, 3]),
+        n=st.integers(1, 3),
+        channels=st.sampled_from([(1, 2), (1, 1), (2, 3), (3, 1), (5, 2)]),
+        h=st.integers(1, 9),
+        w=st.integers(1, 9),
+        block_cols=st.sampled_from([1, 40, ops._BLOCK_COLS]),
+        gemm_depth=st.sampled_from([1, ops._MIN_GEMM_DEPTH]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_tap_loop_matches_naive_oracle(self, geometry, k, n, channels, h, w,
+                                           block_cols, gemm_depth, seed):
+        """Every stride/dilation of the tap loop, on extents down to 1, so
+        that whole kernel rows and columns lie in the padding (dead taps)
+        wherever the extent is below the dilation. block_cols forces
+        single-column, mixed and whole-grid blocks; gemm_depth 1 runs every
+        tap as its own GEMM, the default groups taps of narrow inputs."""
+        stride, dilation = geometry
+        c, oc = channels
+        spec = ConvSpec(c, oc, kernel=k, stride=stride, dilation=dilation)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, c, h, w))
+        kernel, bias = make_conv(spec, rng.standard_normal((oc, c, k, k)),
+                                 rng.standard_normal(oc))
+        with mock.patch.object(ops, "_BLOCK_COLS", block_cols), \
+                mock.patch.object(ops, "_MIN_GEMM_DEPTH", gemm_depth):
+            y, _ = ops.conv2d_forward(Tensor(x), spec, kernel, bias)
+        np.testing.assert_allclose(
+            y.data, naive_conv2d(x, kernel.value, bias.value, stride, dilation),
+            rtol=1e-12, atol=1e-12,
+        )
+
     def test_channel_mismatch_names_both_counts(self):
         spec = ConvSpec(3, 1)
         kernel, bias = make_conv(spec, np.zeros((1, 3, 3, 3)))
@@ -196,14 +234,16 @@ class TestConv2dBackward:
         h=st.integers(3, 9),
         w=st.integers(3, 9),
         with_bias=st.booleans(),
-        gemm_cols=st.sampled_from([1, 40, 1024]),
+        block_cols=st.sampled_from([1, 40, ops._BLOCK_COLS]),
+        gemm_depth=st.sampled_from([1, ops._MIN_GEMM_DEPTH]),
         seed=st.integers(0, 2**16),
     )
     def test_matches_naive_oracle(self, geometry, k, n, channels, h, w, with_bias,
-                                  gemm_cols, seed):
+                                  block_cols, gemm_depth, seed):
         """Input gradient is the adjoint of the oracle conv; kernel gradient
         matches the oracle on one-hot kernels; bias gradient sums grad_out.
-        gemm_cols forces one-sample, mixed and whole-batch GEMM chunks."""
+        block_cols forces single-column, mixed and whole-grid blocks;
+        gemm_depth 1 runs every tap as its own GEMM."""
         stride, dilation = geometry
         c, oc = channels
         spec = ConvSpec(c, oc, kernel=k, stride=stride, dilation=dilation)
@@ -216,7 +256,8 @@ class TestConv2dBackward:
         k32 = Parameter(kv.astype(np.float32), "conv-kernel", regularized=True)
         _, cache32 = ops.conv2d_forward(Tensor(x.astype(np.float32)), spec, k32, None)
         g = rng.standard_normal(y.shape)
-        with mock.patch.object(ops, "_MIN_GEMM_COLS", gemm_cols):
+        with mock.patch.object(ops, "_BLOCK_COLS", block_cols), \
+                mock.patch.object(ops, "_MIN_GEMM_DEPTH", gemm_depth):
             gx = ops.conv2d_backward(Tensor(g), cache, spec, kernel, bias).data
             gx32 = ops.conv2d_backward(Tensor(g.astype(np.float32)), cache32, spec, k32, None).data
 
@@ -241,6 +282,40 @@ class TestConv2dBackward:
         assert gx32.dtype == np.float32 and k32.grad.dtype == np.float32
         assert np.max(np.abs(gx32 - gx)) <= 1e-5 * np.max(np.abs(gx))
         assert np.max(np.abs(k32.grad - ref)) <= 1e-5 * np.max(np.abs(ref))
+
+
+_THREAD_PROBE = """
+import hashlib, numpy as np
+from seget import ops
+from seget.tensor import ConvSpec, Parameter, Tensor
+rng = np.random.default_rng(0)
+digest = hashlib.sha256()
+for spec, shape in [(ConvSpec(80, 32), (12, 80, 8, 8)), (ConvSpec(48, 16), (12, 48, 16, 16)),
+                    (ConvSpec(8, 16, stride=2), (12, 8, 32, 32)), (ConvSpec(1, 16), (12, 1, 32, 32))]:
+    kernel = Parameter(rng.standard_normal((spec.out_channels, spec.in_channels, 3, 3))
+                       .astype(np.float32), "conv-kernel", regularized=True)
+    y, cache = ops.conv2d_forward(Tensor(rng.standard_normal(shape).astype(np.float32)),
+                                  spec, kernel, None)
+    g = Tensor(rng.standard_normal(y.shape).astype(np.float32))
+    gx = ops.conv2d_backward(g, cache, spec, kernel, None)
+    for a in (y.data, gx.data, kernel.grad):
+        digest.update(a.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_conv_bits_independent_of_blas_threads():
+    """Forward, input and kernel gradients are bit-identical with one and
+    two OpenBLAS threads, on layers whose grid columns are not a multiple
+    of 64, so a training run does not depend on the thread count."""
+    src = str(Path(ops.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(run.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 class TestBatchNorm:
