@@ -29,7 +29,7 @@ from .config import (
 from .errors import ConfigError, DataFormatError, NumericError
 from .gradcheck import run_network_suite, run_operator_suite
 from .losses import ConfusionCounts, accumulate_confusion, bf_ratio, miou, pixel_accuracy
-from .model import build
+from .model import NetworkConfig, build
 from .ops import sigmoid
 from .synth import SynthConfig, write_dataset
 from .tensor import Tensor
@@ -99,9 +99,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     mask_path = args.mask or cfg.paths.mask
     if not volume_path or not mask_path:
         raise ConfigError("train requires --volume and --mask (or paths in the config)")
+    _require_window_fits(cfg.data.window, cfg.network)
 
-    out_dir = Path(cfg.paths.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     volume = dp.read_mrc(volume_path)
     mask_vol = dp.read_mrc(mask_path)
     images = dp.normalize(volume, per_slice=cfg.data.normalize_per_slice)
@@ -120,7 +119,15 @@ def cmd_train(args: argparse.Namespace) -> int:
         phase=cfg.data.holdout_phase,
         weight_cap=cfg.train.weight_cap,
     )
+    if not split.train or not split.val:
+        empty = "train" if not split.train else "validation"
+        raise DataFormatError(
+            f"{images.shape[0]} slices with holdout period {cfg.data.holdout_period} "
+            f"and phase {cfg.data.holdout_phase} leave the {empty} split empty"
+        )
     train_patches = dp.oversample_positive(split.train, cfg.train.oversample_copies)
+    out_dir = Path(cfg.paths.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "manifest.txt").write_text(dp.manifest_lines(train_patches))
     (out_dir / "resolved_config.txt").write_text(dump_config(cfg))
     positives = [p for p in train_patches if p.positive]
@@ -141,6 +148,15 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _require_window_fits(window: int, config: NetworkConfig) -> None:
+    """A window the network cannot take is refused before any work."""
+    factor = config.downsample_factor
+    if window % factor:
+        raise DataFormatError(
+            f"window {window} is not divisible by the network downsample factor {factor}"
+        )
+
+
 def _predict_volume(net, images: np.ndarray, window: int, stride: int,
                     batch_size: int = 8) -> np.ndarray:
     """Per-slice patch inference with mean-overlap stitching; edge-aligned
@@ -150,11 +166,7 @@ def _predict_volume(net, images: np.ndarray, window: int, stride: int,
     if not 1 <= stride <= window:
         # a stride beyond the window leaves gaps between windows
         raise ConfigError(f"predict --stride must lie in [1, --window={window}], got {stride}")
-    factor = net.config.downsample_factor
-    if window % factor:
-        raise DataFormatError(
-            f"window {window} is not divisible by the network downsample factor {factor}"
-        )
+    _require_window_fits(window, net.config)
     probs = np.zeros((nz, h, w), dtype=np.float64)
     dt = net.config.np_dtype
     for s in range(nz):
@@ -179,10 +191,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
     net, meta = load_checkpoint(args.checkpoint)
     volume = dp.read_mrc(args.volume)
     images = dp.normalize(volume, per_slice=args.normalize_per_slice)
+    probs = _predict_volume(net, images, args.window, args.stride)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    probs = _predict_volume(net, images, args.window, args.stride)
     threshold = args.threshold
     for s in range(probs.shape[0]):
         mask = (probs[s] > threshold).astype(np.uint8)
@@ -212,8 +223,28 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _load_prob_stack(path: str) -> np.ndarray:
+    """One per-class probability stack: a 3-D floating array in a .npy file.
+    A file that cannot be opened is an I/O error; anything else that goes
+    wrong is a format error naming the file."""
+    with open(path, "rb") as fh:
+        # on malformed bytes np.load raises ValueError, EOFError, SyntaxError,
+        # zipfile.BadZipFile, RuntimeError and more
+        try:
+            stack = np.load(fh, allow_pickle=False)
+        except Exception as exc:
+            raise DataFormatError(
+                f"{path}: not a .npy array ({type(exc).__name__}: {exc})"
+            ) from exc
+    if not isinstance(stack, np.ndarray) or stack.ndim != 3 or stack.dtype.kind != "f":
+        got = (f"{stack.ndim}-D {stack.dtype}" if isinstance(stack, np.ndarray)
+               else type(stack).__name__)
+        raise DataFormatError(f"{path}: expected a 3-D floating probability stack, got {got}")
+    return stack
+
+
 def cmd_fuse(args: argparse.Namespace) -> int:
-    stacks = [np.load(p) for p in args.probs]
+    stacks = [_load_prob_stack(p) for p in args.probs]
     fused = dp.fuse_probabilities(stacks, threshold=args.threshold)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -137,10 +137,7 @@ def combined_loss(
 
 @dataclass
 class ConfusionCounts:
-    """Square pixel tally: counts[a, b] = pixels of true class a predicted b.
-
-    Mergeable by addition, so parallel evaluation shards can be combined.
-    """
+    """Square pixel tally: counts[a, b] = pixels of true class a predicted b."""
 
     counts: np.ndarray
 
@@ -157,11 +154,6 @@ class ConfusionCounts:
     @property
     def total(self) -> int:
         return int(self.counts.sum())
-
-    def merge(self, other: "ConfusionCounts") -> "ConfusionCounts":
-        if other.counts.shape != self.counts.shape:
-            raise ValueError("cannot merge confusion counts of different class counts")
-        return ConfusionCounts(self.counts + other.counts)
 
 
 def accumulate_confusion(
@@ -184,29 +176,18 @@ def accumulate_confusion(
     return counts
 
 
-def miou(counts: ConfusionCounts, zero_union: str = "exclude") -> float:
+def miou(counts: ConfusionCounts) -> float:
     """Mean over classes of p_ii / (row_sum + col_sum - p_ii).
 
-    Classes whose union is zero have an undefined 0/0 IoU; by default
-    they are excluded from the mean (zero_union may also be "one" or
-    "zero" to count them as 1.0 or 0.0).
+    Classes whose union is zero have an undefined 0/0 IoU and are
+    excluded from the mean.
     """
     if counts.total == 0:
         raise ValueError("cannot compute mIOU of empty counts")
-    if zero_union not in ("exclude", "one", "zero"):
-        raise ValueError(f"unknown zero_union convention {zero_union!r}")
     c = counts.counts
     diag = np.diag(c)
     union = c.sum(axis=1) + c.sum(axis=0) - diag
-    ious = []
-    for i in range(counts.num_classes):
-        if union[i] == 0:
-            if zero_union == "one":
-                ious.append(1.0)
-            elif zero_union == "zero":
-                ious.append(0.0)
-        else:
-            ious.append(int(diag[i]) / int(union[i]))
+    ious = [int(diag[i]) / int(union[i]) for i in range(counts.num_classes) if union[i]]
     if not ious:
         raise ValueError("every class has zero union; mIOU undefined")
     return sum(ious) / len(ious)

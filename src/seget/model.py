@@ -20,8 +20,8 @@ backward calls accumulate gradients additively.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,15 +35,23 @@ from .tensor import (
 )
 
 
+# Fixed choices of the one network this package builds, echoed by the
+# checkpoints of earlier versions, which carried them as config fields.
+INPUT_CHANNELS = 1       # electron tomograms are single-channel
+SKIP_REDUCTION = 2       # a skip tap carries half of its block's filters
+_FIXED_KEYS = {
+    "input_channels": INPUT_CHANNELS,
+    "skip_reduction": SKIP_REDUCTION,
+    "center_concat_input": True,    # the center input is always stacked
+    "upsample_mode": "half_pixel",  # the only upsampling rule
+}
+
+
 @dataclass
 class NetworkConfig:
     base_filters: int = 16
     depth: int = 4
     dilation_rates: tuple[int, ...] = (1, 2, 4, 8)
-    input_channels: int = 1
-    skip_reduction: int = 2
-    center_concat_input: bool = True
-    upsample_mode: str = "half_pixel"
     dtype: str = "float32"
 
     def __post_init__(self) -> None:
@@ -54,14 +62,8 @@ class NetworkConfig:
             raise ValueError("base_filters must be >= 1")
         if not self.dilation_rates or any(r < 1 for r in self.dilation_rates):
             raise ValueError("dilation_rates must be non-empty with all rates >= 1")
-        if self.input_channels < 1:
-            raise ValueError("input_channels must be >= 1")
-        if self.skip_reduction < 1:
-            raise ValueError("skip_reduction must be >= 1")
         if self.dtype not in ("float32", "float64"):
             raise ValueError("dtype must be 'float32' or 'float64'")
-        if self.upsample_mode not in ("half_pixel", "align_corners"):
-            raise ValueError("upsample_mode must be 'half_pixel' or 'align_corners'")
 
     @property
     def downsample_factor(self) -> int:
@@ -72,36 +74,26 @@ class NetworkConfig:
         return self.base_filters * (2 ** block)
 
     def skip_channels(self, block: int) -> int:
-        return max(self.filters(block) // self.skip_reduction, 1)
+        return max(self.filters(block) // SKIP_REDUCTION, 1)
 
     @property
     def np_dtype(self) -> np.dtype:
         return np.dtype(np.float32 if self.dtype == "float32" else np.float64)
 
     def to_dict(self) -> dict:
-        return {
-            "base_filters": self.base_filters,
-            "depth": self.depth,
-            "dilation_rates": list(self.dilation_rates),
-            "input_channels": self.input_channels,
-            "skip_reduction": self.skip_reduction,
-            "center_concat_input": self.center_concat_input,
-            "upsample_mode": self.upsample_mode,
-            "dtype": self.dtype,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["dilation_rates"] = list(self.dilation_rates)
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkConfig":
-        return cls(
-            base_filters=d["base_filters"],
-            depth=d["depth"],
-            dilation_rates=tuple(d["dilation_rates"]),
-            input_channels=d["input_channels"],
-            skip_reduction=d["skip_reduction"],
-            center_concat_input=d["center_concat_input"],
-            upsample_mode=d["upsample_mode"],
-            dtype=d["dtype"],
-        )
+        """Inverse of to_dict. A key of a fixed choice is accepted only at
+        its fixed value, so an echo asking for another variant is refused
+        rather than loaded as this one."""
+        for key, value in _FIXED_KEYS.items():
+            if key in d and d[key] != value:
+                raise ValueError(f"{key}={d[key]!r} is not supported; only {value!r} is")
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 # ---------------------------------------------------------------------------
@@ -250,15 +242,15 @@ class SegETNetwork:
             return unit, node(name, "conv", unit, x)
 
         self.encoder: list[dict] = []
-        self._skip_slots: list[int] = []
-        prev, x = config.input_channels, 0
+        skips: list[int] = []
+        prev, x = INPUT_CHANNELS, 0
         for i in range(depth):
             f = config.filters(i)
             sk = config.skip_channels(i)
             c1, x = conv(f"enc{i}.c1", ConvSpec(prev, f), x)
             c2, x = conv(f"enc{i}.c2", ConvSpec(f, f), x)
             c3, x = conv(f"enc{i}.c3", ConvSpec(f, sk), x)
-            self._skip_slots.append(x)
+            skips.append(x)
             c4, x = conv(f"enc{i}.c4", ConvSpec(sk, f, stride=2), x)
             self.encoder.append({"c1": c1, "c2": c2, "c3": c3, "c4": c4})
             prev = f
@@ -272,8 +264,7 @@ class SegETNetwork:
             branch, out = conv(f"center.b{idx}", ConvSpec(2 * f_top, f_top, dilation=r), x)
             self.center_branches.append(branch)
             cat.append(out)
-        if config.center_concat_input:
-            cat.append(center_in)
+        cat.append(center_in)
         x = node("center.concat", "concat", None, *cat)
         self.center_reduce, x = conv(
             "center.reduce", ConvSpec(len(cat) * f_top, 2 * f_top, kernel=1), x
@@ -285,7 +276,7 @@ class SegETNetwork:
             e = depth - 1 - j
             f = config.filters(e)
             x = node(f"dec{j}.up", "upsample", None, x)
-            x = node(f"dec{j}.concat", "concat", None, x, self._skip_slots[e])
+            x = node(f"dec{j}.concat", "concat", None, x, skips[e])
             _, x = conv(f"dec{j}.c1", ConvSpec(h_ch + config.skip_channels(e), f), x)
             _, x = conv(f"dec{j}.c2", ConvSpec(f, f), x)
             d_outs.append(x)
@@ -322,7 +313,6 @@ class SegETNetwork:
         self._op_caches: dict[str, object] = {}
         self._forward_done = False
         self._logits_shape: tuple[int, ...] | None = None
-        self._ablated_slots: set[int] = set()
 
     @property
     def parameters(self) -> dict[str, Parameter]:
@@ -338,24 +328,18 @@ class SegETNetwork:
 
     # -- forward -----------------------------------------------------------
 
-    def forward(self, batch: Tensor, mode: str = "train",
-                ablate_skips: Sequence[int] = ()) -> Tensor:
-        """Logit map, shape N x 1 x H x W. ablate_skips is a diagnostic that
-        zeroes the listed encoder skip taps (used by the liveness probe)."""
+    def forward(self, batch: Tensor, mode: str = "train") -> Tensor:
+        """Logit map, shape N x 1 x H x W."""
         depth = self.config.depth
         n, c, h, w = batch.shape
-        if c != self.config.input_channels:
-            raise ValueError(
-                f"batch has {c} channels, network expects {self.config.input_channels}"
-            )
+        if c != INPUT_CHANNELS:
+            raise ValueError(f"batch has {c} channels, network expects {INPUT_CHANNELS}")
         factor = self.config.downsample_factor
         if h % factor or w % factor:
             raise ValueError(
                 f"spatial extents ({h}, {w}) must both be divisible by "
                 f"2^depth = {factor} for depth {depth}"
             )
-        ablate = set(ablate_skips)
-        ablated = {s for i, s in enumerate(self._skip_slots) if i in ablate}
         # each slot is released after its last reader
         readers = Counter(s for nd in self._nodes for s in nd.inputs)
         slots: dict[int, Tensor] = {0: batch}
@@ -368,19 +352,14 @@ class SegETNetwork:
             if nd.kind == "conv":
                 y = nd.unit.forward(xs[0], mode)
             elif nd.kind == "upsample":
-                y, self._op_caches[nd.name] = ops.bilinear_upsample_2x_forward(
-                    xs[0], self.config.upsample_mode
-                )
-            else:  # an ablated skip tap reaches its decoder concat as zeros
-                xs = [Tensor(np.zeros_like(x.data)) if s in ablated else x
-                      for s, x in zip(nd.inputs, xs)]
+                y, self._op_caches[nd.name] = ops.bilinear_upsample_2x_forward(xs[0])
+            else:
                 y, self._op_caches[nd.name] = ops.concat_channels_forward(xs)
             slots[nd.output] = y
         logits = slots[self._nodes[-1].output]
 
         self._forward_done = True
         self._logits_shape = logits.shape
-        self._ablated_slots = ablated
         return logits
 
     # -- backward ----------------------------------------------------------
@@ -405,13 +384,10 @@ class SegETNetwork:
                 g_in = [nd.unit.backward(g)]
             elif nd.kind == "upsample":
                 g_in = [ops.bilinear_upsample_2x_backward(g, self._op_caches[nd.name])]
-            else:  # an ablated skip tap gets no gradient from its concat
-                g_in = [None if s in self._ablated_slots else gs for s, gs in zip(
-                    nd.inputs, ops.concat_channels_backward(g, self._op_caches[nd.name])
-                )]
+            else:
+                g_in = ops.concat_channels_backward(g, self._op_caches[nd.name])
             for s, gs in zip(nd.inputs, g_in):
-                if gs is not None:
-                    grads.setdefault(s, []).append(gs)
+                grads.setdefault(s, []).append(gs)
 
     # -- introspection -----------------------------------------------------
 
@@ -421,7 +397,7 @@ class SegETNetwork:
         if ref_hw is None:
             s = 4 * cfg.downsample_factor
             ref_hw = (s, s)
-        shapes = {0: (1, cfg.input_channels, *ref_hw)}
+        shapes = {0: (1, INPUT_CHANNELS, *ref_hw)}
         feeds: dict[int, tuple[int, ...]] = {}  # slot -> inputs of its writer
         rows: list[LayerRow] = []
         for nd in self._nodes:

@@ -423,24 +423,19 @@ def sigmoid_backward(grad_out: Tensor, s: np.ndarray | None) -> Tensor:
 # bilinear 2x upsampling
 # ---------------------------------------------------------------------------
 
-_UPSAMPLE_MODES = ("half_pixel", "align_corners")
-_upsample_matrix_cache: dict[tuple[int, str, str], np.ndarray] = {}
+_upsample_matrix_cache: dict[tuple[int, str], np.ndarray] = {}
 
 
-def _bilinear_matrix(n_in: int, mode: str, dtype: np.dtype) -> np.ndarray:
-    """(2n x n) interpolation matrix for one axis; rows sum to 1."""
-    key = (n_in, mode, np.dtype(dtype).str)
+def _bilinear_matrix(n_in: int, dtype: np.dtype) -> np.ndarray:
+    """(2n x n) half-pixel interpolation matrix for one axis; rows sum to 1."""
+    key = (n_in, np.dtype(dtype).str)
     cached = _upsample_matrix_cache.get(key)
     if cached is not None:
         return cached
     n_out = 2 * n_in
     m = np.zeros((n_out, n_in), dtype=dtype)
     for o in range(n_out):
-        if mode == "half_pixel":
-            src = (o + 0.5) / 2.0 - 0.5
-        else:
-            src = o * (n_in - 1) / (n_out - 1) if n_out > 1 else 0.0
-        src = min(max(src, 0.0), float(n_in - 1))
+        src = min(max((o + 0.5) / 2.0 - 0.5, 0.0), float(n_in - 1))
         i0 = int(np.floor(src))
         frac = src - i0
         i1 = min(i0 + 1, n_in - 1)
@@ -457,16 +452,13 @@ class UpsampleCache:
     input_shape: tuple[int, int, int, int]
 
 
-def bilinear_upsample_2x_forward(
-    x: Tensor, mode: str = "half_pixel"
-) -> tuple[Tensor, UpsampleCache]:
-    """Doubles H and W. The map is separable, out = Wr @ x @ Wc^T, and the
-    backward pass is its exact transpose by construction."""
-    if mode not in _UPSAMPLE_MODES:
-        raise ValueError(f"mode must be one of {_UPSAMPLE_MODES}, got {mode!r}")
+def bilinear_upsample_2x_forward(x: Tensor) -> tuple[Tensor, UpsampleCache]:
+    """Doubles H and W with half-pixel centers. The map is separable,
+    out = Wr @ x @ Wc^T, and the backward pass is its exact transpose by
+    construction."""
     _, _, h, w = x.shape
-    wr = _bilinear_matrix(h, mode, x.dtype)
-    wc = _bilinear_matrix(w, mode, x.dtype)
+    wr = _bilinear_matrix(h, x.dtype)
+    wc = _bilinear_matrix(w, x.dtype)
     out = np.matmul(np.matmul(wr, x.data), wc.T)
     return Tensor(out), UpsampleCache(wr, wc, x.shape)
 

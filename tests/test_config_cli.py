@@ -1,6 +1,9 @@
 """Config round trips, preset contents, and the CLI commands wired
 end-to-end on a tiny synthetic dataset."""
 
+import io
+import json
+import struct
 import subprocess
 import sys
 
@@ -173,6 +176,39 @@ class TestCliTrain:
     def test_missing_paths_is_config_error(self, tmp_path):
         assert cli.main(["train", "--out-dir", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("line", [
+        "input_channels = 1", "skip_reduction = 2",
+        "center_concat_input = true", "upsample_mode = half_pixel",
+    ])
+    def test_config_file_setting_a_fixed_choice_exits_1(self, tmp_path, line, capsys):
+        """The network's fixed choices are not config keys, even at the
+        value the network uses."""
+        cfg_file = tmp_path / "old.cfg"
+        cfg_file.write_text(f"[network]\n{line}\n")
+        assert cli.main(["train", "--config", str(cfg_file), "--dump-config"]) == 1
+        assert "unknown key" in capsys.readouterr().err
+
+    def test_window_the_network_cannot_take_exits_2_before_writing(self, synth_dir, tmp_path):
+        out = tmp_path / "run"
+        rc = cli.main(["train", "--volume", str(synth_dir / "volume.mrc"),
+                       "--mask", str(synth_dir / "mask_blob.mrc"), "--out-dir", str(out),
+                       *TRAIN_OVERRIDES, "--set", "data.window=30"])
+        assert rc == 2
+        assert not (out / "manifest.txt").exists()
+
+    def test_empty_validation_split_exits_2_before_writing(self, tmp_path, capsys):
+        data = tmp_path / "three"
+        assert cli.main(["synth", "--seed", "1", "--size", "32", "--slices", "3",
+                         "--classes", "blob", "--out-dir", str(data)]) == 0
+        out = tmp_path / "run"
+        rc = cli.main(["train", "--volume", str(data / "volume.mrc"),
+                       "--mask", str(data / "mask_blob.mrc"), "--out-dir", str(out),
+                       *TRAIN_OVERRIDES])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "3 slices" in err and "period 5" in err and "phase 4" in err
+        assert not (out / "manifest.txt").exists()
+
 
 class TestCliPredict:
     def test_masks_and_probs(self, synth_dir, trained_dir, tmp_path):
@@ -248,6 +284,25 @@ class TestCliPredict:
             "--out-dir", str(tmp_path / "x"), "--window", "16", "--stride", "20",
         ])
         assert rc == 1
+        assert not (tmp_path / "x").exists()
+
+    def test_checkpoint_of_another_upsampling_rule_exits_2(self, synth_dir, trained_dir,
+                                                            tmp_path):
+        """An echo asking for align-corners upsampling, which earlier
+        versions could build, is refused rather than run as half-pixel."""
+        raw = (trained_dir / "best.ckpt").read_bytes()
+        (hlen,) = struct.unpack_from("<Q", raw, 8)
+        header = json.loads(raw[16 : 16 + hlen])
+        header["config"]["upsample_mode"] = "align_corners"
+        blob = json.dumps(header, sort_keys=True).encode()
+        ckpt = tmp_path / "old.ckpt"
+        ckpt.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen :])
+        rc = cli.main([
+            "predict", "--checkpoint", str(ckpt),
+            "--volume", str(synth_dir / "volume.mrc"),
+            "--out-dir", str(tmp_path / "x"), "--window", "32", "--stride", "32",
+        ])
+        assert rc == 2
 
     def test_indivisible_window_exits_2(self, synth_dir, trained_dir, tmp_path):
         rc = cli.main([
@@ -256,6 +311,7 @@ class TestCliPredict:
             "--out-dir", str(tmp_path / "x"), "--window", "30", "--stride", "30",
         ])
         assert rc == 2
+        assert not (tmp_path / "x").exists()
 
 
 class TestCliEvaluate:
@@ -352,6 +408,35 @@ class TestCliFuse:
         rc = cli.main(["fuse", "--probs", str(tmp_path / "a.npy"),
                        str(tmp_path / "b.npy"), "--out-dir", str(tmp_path / "o")])
         assert rc == 2
+
+    @pytest.mark.parametrize("case", [
+        "empty", "truncated", "header_only", "not_npy", "object", "npz", "2d", "integer",
+    ])
+    def test_bad_probability_stack_exits_2(self, tmp_path, capsys, case):
+        def saved(save, array, **kwargs):
+            buf = io.BytesIO()
+            save(buf, array, **kwargs)
+            return buf.getvalue()
+
+        good = saved(np.save, np.zeros((1, 4, 4), dtype=np.float32))
+        bad = {
+            "empty": b"",
+            "truncated": good[:-5],
+            "header_only": good[:20],
+            "not_npy": b"P5\n4 4\n255\n" + bytes(16),
+            "object": saved(np.save, np.empty((1, 4, 4), dtype=object), allow_pickle=True),
+            "npz": saved(np.savez, np.zeros((1, 4, 4), dtype=np.float32)),
+            "2d": saved(np.save, np.zeros((4, 4), dtype=np.float32)),
+            "integer": saved(np.save, np.zeros((1, 4, 4), dtype=np.int64)),
+        }
+        path = tmp_path / "bad.npy"
+        path.write_bytes(bad[case])
+        np.save(tmp_path / "good.npy", np.zeros((1, 4, 4), dtype=np.float32))
+        rc = cli.main(["fuse", "--probs", str(tmp_path / "good.npy"), str(path),
+                       "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert str(path) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestCliGradcheck:

@@ -85,13 +85,13 @@ def test_network_suite_tiny_config():
     assert reports and all(r.passed for r in reports)
 
 
-@pytest.mark.parametrize("cfg, ablate, shape", [
-    (NetworkConfig(base_filters=1, depth=3, dilation_rates=(1, 2), dtype="float64",
-                   center_concat_input=False), (1,), (2, 1, 16, 16)),
+@pytest.mark.parametrize("cfg, shape", [
+    (NetworkConfig(base_filters=1, depth=3, dilation_rates=(1, 2), dtype="float64"),
+     (2, 1, 16, 16)),
     (NetworkConfig(base_filters=2, depth=4, dilation_rates=(1, 2, 4, 8), dtype="float64"),
-     (), (1, 1, 32, 32)),
+     (1, 1, 32, 32)),
 ])
-def test_deep_wiring_matches_finite_differences(cfg, ablate, shape):
+def test_deep_wiring_matches_finite_differences(cfg, shape):
     """Decoder, fusion and head fan-out and the summed center branches
     at depth >= 3, on 4 sampled coordinates per parameter tensor.
 
@@ -109,7 +109,7 @@ def test_deep_wiring_matches_finite_differences(cfg, ablate, shape):
     proj = rng.standard_normal(shape)
 
     def value() -> float:
-        return float((net.forward(x, mode="infer", ablate_skips=ablate).data * proj).sum())
+        return float((net.forward(x, mode="infer").data * proj).sum())
 
     def shifted(flat: np.ndarray, i: int, step: float) -> tuple[float, float]:
         orig = flat[i]

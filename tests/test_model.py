@@ -21,7 +21,7 @@ SMALL = NetworkConfig(base_filters=4, depth=2, dilation_rates=(1, 2))
 def rand_input(cfg, n=1, hw=None, seed=0):
     hw = hw or 4 * cfg.downsample_factor
     rng = np.random.default_rng(seed)
-    return Tensor(rng.standard_normal((n, cfg.input_channels, hw, hw)).astype(cfg.np_dtype))
+    return Tensor(rng.standard_normal((n, 1, hw, hw)).astype(cfg.np_dtype))
 
 
 class TestBuild:
@@ -72,19 +72,6 @@ class TestBuild:
         with pytest.raises(ValueError):
             NetworkConfig(dilation_rates=(0, 2))
 
-    def test_center_concat_switch(self):
-        """Default stacks branches plus the encoded input; the switch drops
-        the input path and shrinks the 1x1 reduce conv accordingly."""
-        with_input = build(NetworkConfig(base_filters=4, depth=2, dilation_rates=(1, 2)))
-        without = build(NetworkConfig(base_filters=4, depth=2, dilation_rates=(1, 2),
-                                      center_concat_input=False))
-        f_top = 8
-        assert with_input.center_reduce.spec.in_channels == 2 * f_top + f_top
-        assert without.center_reduce.spec.in_channels == 2 * f_top
-        cfg = without.config
-        y = without.forward(rand_input(cfg), mode="infer")
-        assert y.shape[2:] == (4 * cfg.downsample_factor,) * 2
-
 
 class TestForward:
     def test_64x64_through_depth4(self):
@@ -129,14 +116,18 @@ class TestForward:
         assert np.array_equal(a.data, b.data)
 
     def test_skip_paths_are_live(self):
-        """Zeroing any one skip tap at inference must change the logits."""
+        """With block i's stride-2 conv zeroed, the block reaches the logits
+        only through its skip tap, so scaling the tap's conv must change
+        the logits."""
         cfg = NetworkConfig(base_filters=4, depth=3)
-        net = build(cfg, seed=2)
         x = rand_input(cfg, seed=3)
-        base = net.forward(x, mode="infer")
         for i in range(cfg.depth):
-            ablated = net.forward(x, mode="infer", ablate_skips=(i,))
-            assert not np.allclose(base.data, ablated.data), f"skip_{i} appears dead"
+            net = build(cfg, seed=2)
+            net.parameters[f"enc{i}.c4.kernel"].value[...] = 0.0
+            base = net.forward(x, mode="infer")
+            net.parameters[f"enc{i}.c3.kernel"].value[...] *= 2.0
+            scaled = net.forward(x, mode="infer")
+            assert not np.allclose(base.data, scaled.data), f"skip_{i} appears dead"
 
 
 class TestBackward:
@@ -211,8 +202,6 @@ class TestDescribe:
 
     @pytest.mark.parametrize("cfg, expected", [
         (NetworkConfig(base_filters=4, depth=3, dilation_rates=(1, 2)), "depth3"),
-        (NetworkConfig(base_filters=4, depth=2, dilation_rates=(1, 2),
-                       center_concat_input=False), "depth2_no_center_input"),
     ])
     def test_table_is_byte_stable(self, cfg, expected):
         """center.concat's `in` column is the summed branch outputs."""
@@ -261,36 +250,6 @@ head.c1           conv      (1, 12, 32, 32) (1, 4, 32, 32)       440  1  1
 head.c2           conv      (1, 4, 32, 32)  (1, 4, 32, 32)       152  1  1
 head.logit        conv      (1, 4, 32, 32)  (1, 1, 32, 32)         5  1  1
 total params 45589; downsample x8; center convs 5; encoder convs/block 4""",
-    "depth2_no_center_input": """\
-name              kind      in              out               params  s  d
-enc0.c1           conv      (1, 1, 16, 16)  (1, 4, 16, 16)        44  1  1
-enc0.c2           conv      (1, 4, 16, 16)  (1, 4, 16, 16)       152  1  1
-enc0.c3           conv      (1, 4, 16, 16)  (1, 2, 16, 16)        76  1  1
-enc0.c4           conv      (1, 2, 16, 16)  (1, 4, 8, 8)          80  2  1
-enc1.c1           conv      (1, 4, 8, 8)    (1, 8, 8, 8)         304  1  1
-enc1.c2           conv      (1, 8, 8, 8)    (1, 8, 8, 8)         592  1  1
-enc1.c3           conv      (1, 8, 8, 8)    (1, 4, 8, 8)         296  1  1
-enc1.c4           conv      (1, 4, 8, 8)    (1, 8, 4, 4)         304  2  1
-center.c1         conv      (1, 8, 4, 4)    (1, 16, 4, 4)       1184  1  1
-center.c2         conv      (1, 16, 4, 4)   (1, 16, 4, 4)       2336  1  1
-center.b0         conv      (1, 16, 4, 4)   (1, 8, 4, 4)        1168  1  1
-center.b1         conv      (1, 16, 4, 4)   (1, 8, 4, 4)        1168  1  2
-center.concat     concat    (1, 16, 4, 4)   (1, 16, 4, 4)          0  1  1
-center.reduce     conv      (1, 16, 4, 4)   (1, 16, 4, 4)        288  1  1
-dec0.up           upsample  (1, 16, 4, 4)   (1, 16, 8, 8)          0  2  1
-dec0.concat       concat    (1, 16, 8, 8)   (1, 20, 8, 8)          0  1  1
-dec0.c1           conv      (1, 20, 8, 8)   (1, 8, 8, 8)        1456  1  1
-dec0.c2           conv      (1, 8, 8, 8)    (1, 8, 8, 8)         592  1  1
-dec1.up           upsample  (1, 8, 8, 8)    (1, 8, 16, 16)         0  2  1
-dec1.concat       concat    (1, 8, 16, 16)  (1, 10, 16, 16)        0  1  1
-dec1.c1           conv      (1, 10, 16, 16) (1, 4, 16, 16)       368  1  1
-dec1.c2           conv      (1, 4, 16, 16)  (1, 4, 16, 16)       152  1  1
-head.up           upsample  (1, 8, 8, 8)    (1, 8, 16, 16)         0  2  1
-head.concat       concat    (1, 8, 16, 16)  (1, 12, 16, 16)        0  1  1
-head.c1           conv      (1, 12, 16, 16) (1, 4, 16, 16)       440  1  1
-head.c2           conv      (1, 4, 16, 16)  (1, 4, 16, 16)       152  1  1
-head.logit        conv      (1, 4, 16, 16)  (1, 1, 16, 16)         5  1  1
-total params 11157; downsample x4; center convs 5; encoder convs/block 4""",
 }
 
 
@@ -393,6 +352,41 @@ class TestCheckpoint:
         raw = path.read_bytes()
         (hlen,) = struct.unpack_from("<Q", raw, 8)
         path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen:])
+
+    # the config echo of earlier versions carried the network's fixed
+    # choices as fields, at these values
+    LEGACY_ECHO = {"input_channels": 1, "skip_reduction": 2,
+                   "center_concat_input": True, "upsample_mode": "half_pixel"}
+
+    @classmethod
+    def _with_config_echo(cls, path, **keys):
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack_from("<Q", raw, 8)
+        header = json.loads(raw[16 : 16 + hlen])
+        header["config"].update(keys)
+        cls._with_header(path, json.dumps(header, sort_keys=True).encode())
+
+    def test_legacy_config_echo_loads_and_infers_identically(self, tmp_path):
+        net = build(SMALL, seed=6)
+        x = rand_input(SMALL, seed=7)
+        net.forward(x, mode="train")
+        before = net.forward(x, mode="infer")
+        path = tmp_path / "legacy.ckpt"
+        save_checkpoint(path, net, epoch=3, val_miou=0.5)
+        self._with_config_echo(path, **self.LEGACY_ECHO)
+        loaded, _ = load_checkpoint(path)
+        np.testing.assert_array_equal(loaded.forward(x, mode="infer").data, before.data)
+
+    @pytest.mark.parametrize("key, value", [
+        ("input_channels", 3), ("skip_reduction", 4),
+        ("center_concat_input", False), ("upsample_mode", "align_corners"),
+    ])
+    def test_rejects_an_echo_of_another_variant(self, tmp_path, key, value):
+        path = tmp_path / "variant.ckpt"
+        save_checkpoint(path, build(TINY), 0, 0.0)
+        self._with_config_echo(path, **{**self.LEGACY_ECHO, key: value})
+        with pytest.raises(DataFormatError, match=key):
+            load_checkpoint(path)
 
     def test_rejects_header_missing_a_key(self, tmp_path):
         net = build(TINY)

@@ -424,11 +424,6 @@ class TestBilinearUpsample:
         g = ops.bilinear_upsample_2x_backward(Tensor(np.ones((1, 1, 10, 14))), cache)
         assert g.data.sum() == pytest.approx(4 * 5 * 7, abs=1e-9)
 
-    def test_align_corners_mode_also_preserves_constants(self):
-        x = Tensor(np.full((1, 1, 4, 4), -1.5))
-        y, _ = ops.bilinear_upsample_2x_forward(x, "align_corners")
-        np.testing.assert_allclose(y.data, -1.5)
-
 
 class TestConcat:
     def test_single_input_identity(self):

@@ -225,7 +225,7 @@ class TestEvaluate:
 
     def test_independent_of_batch_sharding(self):
         """Infer-mode results never couple patches, so any shard size gives
-        the same metrics (confusion counts merge additively)."""
+        the same metrics."""
         net = build(SMALL, seed=7)
         patches = make_patches(7, seed=13)
         results = {evaluate(net, patches, batch_size=b) for b in (1, 3, 7)}
