@@ -180,8 +180,7 @@ def _predict_volume(net, images: np.ndarray, window: int, stride: int,
             batch = np.stack(
                 [images[s, y : y + window, x : x + window] for y, x in chunk]
             )[:, None].astype(dt)
-            logits = net.forward(Tensor(batch), mode="infer")
-            p = sigmoid(logits.data)[:, 0]
+            p = sigmoid(net.infer(Tensor(batch)))[:, 0]
             entries.extend((p[i], y, x) for i, (y, x) in enumerate(chunk))
         probs[s] = dp.stitch_probabilities(entries, (h, w))
     return probs

@@ -80,8 +80,19 @@ def read_mrc(path: str | Path) -> MrcVolume:
 
 
 def normalize(volume: MrcVolume, per_slice: bool = False) -> np.ndarray:
-    """Linear map of sample values onto [0, 1]; constant input maps to 0.5."""
+    """Linear map of sample values onto [0, 1]; constant input maps to 0.5.
+
+    A NaN or infinite voxel would turn the whole map into NaN, so it is
+    refused with DataFormatError naming the first one.
+    """
     data = volume.data.astype(np.float64)
+    finite = np.isfinite(data)
+    if not finite.all():
+        s, y, x = np.argwhere(~finite)[0]
+        raise DataFormatError(
+            f"volume holds {int(finite.size - np.count_nonzero(finite))} non-finite voxels, "
+            f"the first at (slice {s}, y {y}, x {x})"
+        )
 
     def _minmax(a: np.ndarray) -> np.ndarray:
         lo, hi = float(a.min()), float(a.max())

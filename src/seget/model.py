@@ -11,17 +11,18 @@ conv is followed by BN and ReLU except the logit conv, which must stay
 unbounded.
 
 One static node list, built with the layers, drives forward (walk it),
-backward (replay it in reverse, summing fan-out gradients per slot) and
-describe() (propagate shapes only). Forward caches are held per layer
-and per node and stay valid until the next forward, so repeated
-backward calls accumulate gradients additively.
+infer (walk it without caches), backward (replay it in reverse, summing
+fan-out gradients per slot) and describe() (propagate shapes only).
+Forward caches are held per layer and per node and stay valid until the
+next forward, so repeated backward calls accumulate gradients
+additively; infer leaves them alone.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, fields
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -118,6 +119,13 @@ class _Conv:
     def backward(self, g: Tensor) -> Tensor:
         return ops.conv2d_backward(g, self._cache, self.spec, self.kernel, self.bias)
 
+    def infer(self, sources: list[np.ndarray]) -> np.ndarray:
+        """forward in infer mode on channel-major sources; keeps no cache."""
+        def add_bias(grid: np.ndarray) -> None:
+            grid += self.bias.value[:, None]
+        epilogue = add_bias if self.bias is not None else None
+        return ops.conv2d_infer(sources, self.spec, self.kernel, epilogue)
+
     def parameters(self) -> dict[str, Parameter]:
         p = {f"{self.name}.kernel": self.kernel}
         if self.bias is not None:
@@ -149,6 +157,13 @@ class _ConvBnRelu:
         h, self._bn_cache = ops.batchnorm_forward(h, self.gamma, self.beta, self.state, mode)
         h, self._relu_cache = ops.relu_forward(h)
         return h
+
+    def infer(self, sources: list[np.ndarray]) -> np.ndarray:
+        """forward in infer mode on channel-major sources; keeps no cache."""
+        return ops.conv2d_infer(
+            sources, self.spec, self.conv.kernel,
+            lambda grid: ops.batchnorm_relu_infer(grid, self.gamma, self.beta, self.state),
+        )
 
     def backward(self, g: Tensor) -> Tensor:
         g = ops.relu_backward(g, self._relu_cache)
@@ -328,39 +343,75 @@ class SegETNetwork:
 
     # -- forward -----------------------------------------------------------
 
-    def forward(self, batch: Tensor, mode: str = "train") -> Tensor:
-        """Logit map, shape N x 1 x H x W."""
-        depth = self.config.depth
-        n, c, h, w = batch.shape
-        if c != INPUT_CHANNELS:
-            raise ValueError(f"batch has {c} channels, network expects {INPUT_CHANNELS}")
-        factor = self.config.downsample_factor
-        if h % factor or w % factor:
-            raise ValueError(
-                f"spatial extents ({h}, {w}) must both be divisible by "
-                f"2^depth = {factor} for depth {depth}"
-            )
-        # each slot is released after its last reader
+    def _walk(self, first, step: Callable[[_Node, list], object]):
+        """Runs step(node, input values) over the node list, slot 0 holding
+        `first`; each slot is released after its last reader. Returns the
+        last node's value."""
         readers = Counter(s for nd in self._nodes for s in nd.inputs)
-        slots: dict[int, Tensor] = {0: batch}
+        slots = {0: first}
         for nd in self._nodes:
             xs = [slots[s] for s in nd.inputs]
             for s in nd.inputs:
                 readers[s] -= 1
                 if not readers[s]:
                     del slots[s]
+            slots[nd.output] = step(nd, xs)
+        return slots[self._nodes[-1].output]
+
+    def _check_batch(self, batch: Tensor) -> None:
+        _, c, h, w = batch.shape
+        if c != INPUT_CHANNELS:
+            raise ValueError(f"batch has {c} channels, network expects {INPUT_CHANNELS}")
+        factor = self.config.downsample_factor
+        if h % factor or w % factor:
+            raise ValueError(
+                f"spatial extents ({h}, {w}) must both be divisible by "
+                f"2^depth = {factor} for depth {self.config.depth}"
+            )
+
+    def forward(self, batch: Tensor, mode: str = "train") -> Tensor:
+        """Logit map, shape N x 1 x H x W, keeping every cache that
+        backward needs."""
+        self._check_batch(batch)
+
+        def step(nd: _Node, xs: list[Tensor]) -> Tensor:
             if nd.kind == "conv":
-                y = nd.unit.forward(xs[0], mode)
-            elif nd.kind == "upsample":
+                return nd.unit.forward(xs[0], mode)
+            if nd.kind == "upsample":
                 y, self._op_caches[nd.name] = ops.bilinear_upsample_2x_forward(xs[0])
             else:
                 y, self._op_caches[nd.name] = ops.concat_channels_forward(xs)
-            slots[nd.output] = y
-        logits = slots[self._nodes[-1].output]
+            return y
 
+        logits = self._walk(batch, step)
         self._forward_done = True
         self._logits_shape = logits.shape
         return logits
+
+    def infer(self, batch: Tensor) -> np.ndarray:
+        """forward(batch, mode="infer").data, bit for bit, with none of its
+        bookkeeping: no cache is kept and no state is touched, so a
+        pending backward is unaffected.
+
+        Activations stay channel-major (C, N, H, W) from the first conv to
+        the logits. A conv's output is a view of its GEMM grid, on which BN
+        and ReLU run in place; a concat hands its sources on as a list,
+        which the consuming conv copies straight into its tap layout.
+        """
+        self._check_batch(batch)
+
+        def sources(xs: list) -> list[np.ndarray]:
+            return [a for x in xs for a in (x if isinstance(x, list) else [x])]
+
+        def step(nd: _Node, xs: list):
+            if nd.kind == "conv":
+                return nd.unit.infer(sources(xs))
+            if nd.kind == "upsample":
+                return ops.bilinear_upsample_2x_infer(xs[0])
+            return sources(xs)
+
+        logits = self._walk(batch.data.transpose(1, 0, 2, 3), step)
+        return np.ascontiguousarray(logits.transpose(1, 0, 2, 3))
 
     # -- backward ----------------------------------------------------------
 

@@ -7,13 +7,20 @@ with respect to the op's input. Parameter gradients (conv kernel/bias,
 BN gamma/beta) are accumulated additively onto the Parameter objects as
 a side contract. Ops never mutate their inputs; caches are per
 invocation, so separate invocations are independent.
+
+The *_infer functions are the cache-free inference path. They work on
+channel-major arrays (C, N, H, W) and return or modify plain arrays, and
+each gives the same bits as the matching *_forward in infer mode:
+conv2d_infer runs the same tap layout and tap loop as conv2d_forward,
+and batchnorm_relu_infer repeats batchnorm_forward's infer arithmetic in
+the same order, in place.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -175,6 +182,71 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
         np.matmul(a, b, out=out)
 
 
+def _tap_layout(sources: list[np.ndarray], spec: ConvSpec, kernel: np.ndarray) -> Conv2dCache:
+    """The conv input in the tap layout, with the geometry of the tap loop.
+
+    sources are channel-major (C_k, N, H, W) arrays read as one input
+    stacked along channels in order, so a channel concat costs nothing
+    beyond the copy into the layout that every conv makes anyway.
+    """
+    _, n, h, w = sources[0].shape
+    c = sum(src.shape[0] for src in sources)
+    if c != spec.in_channels:
+        raise ValueError(
+            f"input has {c} channels but the spec declares in_channels={spec.in_channels}"
+        )
+    expected = (spec.out_channels, spec.in_channels, spec.kernel, spec.kernel)
+    if kernel.shape != expected:
+        raise ValueError(f"kernel shape {kernel.shape} does not match spec {expected}")
+    oh, ow, pt, pb, pl, pr = _same_padding(h, w, spec)
+    k, s, d = spec.kernel, spec.stride, spec.dilation
+    rows = _axis_layout(h, pt, pb, s, oh)
+    cols = _axis_layout(w, pl, pr, s, ow)
+    hr, wr = rows.pitch, cols.pitch
+    taps = [
+        _Tap(i, j, i * d % s, j * d % s, i * d // s * wr + j * d // s)
+        for i in _live(k, d, s, oh, pt, h)
+        for j in _live(k, d, s, ow, pl, w)
+    ]
+    dtype = np.result_type(*sources, kernel)
+    last = (n - 1) * hr * wr + (oh - 1) * wr + ow  # one past the last output pixel
+    m = -(-last // _COL_QUANTUM) * _COL_QUANTUM
+    length = max(n * hr * wr, m + max(t.off for t in taps))  # the tap slices end by m + off
+    layout = np.zeros((s, s, c, length), dtype=dtype)
+    cache = Conv2dCache(layout, (n, c, h, w), (oh, ow), rows, cols, taps, m)
+    for src_index, view in _phase_views(layout, cache):
+        c0 = 0
+        for src in sources:
+            view[c0 : c0 + src.shape[0]] = src[(slice(None), slice(None), *src_index)]
+            c0 += src.shape[0]
+    return cache
+
+
+def _tap_gemm(cache: Conv2dCache, kernel: np.ndarray) -> np.ndarray:
+    """The tap loop: the output grid (OC, columns), cropped by _crop."""
+    layout = cache.padded
+    n, hr, wr, m = cache.input_shape[0], cache.rows.pitch, cache.cols.pitch, cache.grid_cols
+    oc = kernel.shape[0]
+    out = np.zeros((oc, max(m, n * hr * wr)), dtype=layout.dtype)
+    width = min(_BLOCK_COLS, m)
+    groups, buf = _tap_groups(cache, kernel, width)
+    tmp = np.empty((oc, width), dtype=layout.dtype)
+    for m0 in range(0, m, _BLOCK_COLS):
+        m1 = min(m, m0 + _BLOCK_COLS)
+        acc, t = out[:, m0:m1], tmp[:, : m1 - m0]
+        for group, kmat in groups:
+            _matmul(kmat, _operand(layout, group, m0, m1, buf), t)
+            acc += t
+    return out
+
+
+def _crop(grid: np.ndarray, cache: Conv2dCache) -> np.ndarray:
+    """The output pixels of a grid, a channel-major (OC, N, OH, OW) view."""
+    n, hr, wr = cache.input_shape[0], cache.rows.pitch, cache.cols.pitch
+    oh, ow = cache.out_spatial
+    return grid[:, : n * hr * wr].reshape(-1, n, hr, wr)[:, :, :oh, :ow]
+
+
 def conv2d_forward(
     x: Tensor, spec: ConvSpec, kernel: Parameter, bias: Parameter | None
 ) -> tuple[Tensor, Conv2dCache]:
@@ -185,49 +257,31 @@ def conv2d_forward(
     Runs as the tap loop described above; the cache keeps the input in
     the tap layout for the backward pass.
     """
-    n, c, h, w = x.shape
-    if c != spec.in_channels:
-        raise ValueError(
-            f"input has {c} channels but the spec declares in_channels={spec.in_channels}"
-        )
-    expected = (spec.out_channels, spec.in_channels, spec.kernel, spec.kernel)
-    if kernel.value.shape != expected:
-        raise ValueError(f"kernel shape {kernel.value.shape} does not match spec {expected}")
-    oh, ow, pt, pb, pl, pr = _same_padding(h, w, spec)
-    k, s, d, oc = spec.kernel, spec.stride, spec.dilation, spec.out_channels
-    rows = _axis_layout(h, pt, pb, s, oh)
-    cols = _axis_layout(w, pl, pr, s, ow)
-    hr, wr = rows.pitch, cols.pitch
-    taps = [
-        _Tap(i, j, i * d % s, j * d % s, i * d // s * wr + j * d // s)
-        for i in _live(k, d, s, oh, pt, h)
-        for j in _live(k, d, s, ow, pl, w)
-    ]
-    dtype = np.result_type(x.data, kernel.value)
-    last = (n - 1) * hr * wr + (oh - 1) * wr + ow  # one past the last output pixel
-    m = -(-last // _COL_QUANTUM) * _COL_QUANTUM
-    length = max(n * hr * wr, m + max(t.off for t in taps))  # the tap slices end by m + off
-    layout = np.zeros((s, s, c, length), dtype=dtype)
-    cache = Conv2dCache(layout, x.shape, (oh, ow), rows, cols, taps, m)
-    xt = x.data.transpose(1, 0, 2, 3)
-    for src, view in _phase_views(layout, cache):
-        view[...] = xt[(slice(None), slice(None), *src)]
-
-    out = np.zeros((oc, max(m, n * hr * wr)), dtype=dtype)
-    width = min(_BLOCK_COLS, m)
-    groups, buf = _tap_groups(cache, kernel.value, width)
-    tmp = np.empty((oc, width), dtype=dtype)
-    for m0 in range(0, m, _BLOCK_COLS):
-        m1 = min(m, m0 + _BLOCK_COLS)
-        acc, t = out[:, m0:m1], tmp[:, : m1 - m0]
-        for group, kmat in groups:
-            _matmul(kmat, _operand(layout, group, m0, m1, buf), t)
-            acc += t
-    y = out[:, : n * hr * wr].reshape(oc, n, hr, wr)[:, :, :oh, :ow]
+    cache = _tap_layout([x.data.transpose(1, 0, 2, 3)], spec, kernel.value)
+    y = _crop(_tap_gemm(cache, kernel.value), cache)
     y = np.ascontiguousarray(y.transpose(1, 0, 2, 3))
     if bias is not None:
         y += bias.value.reshape(1, -1, 1, 1)
     return Tensor(y), cache
+
+
+def conv2d_infer(
+    sources: list[np.ndarray], spec: ConvSpec, kernel: Parameter,
+    epilogue: Callable[[np.ndarray], None] | None = None,
+) -> np.ndarray:
+    """conv2d_forward without bias and cache, on channel-major sources
+    (C_k, N, H, W) stacked along channels in order; the result is a
+    channel-major (OC, N, OH, OW) view of the output grid.
+
+    epilogue, if given, runs in place on the whole grid (OC, columns)
+    before the crop: a per-channel elementwise map such as a bias add or
+    batchnorm_relu_infer, whose values on the cropped columns are unused.
+    """
+    cache = _tap_layout(sources, spec, kernel.value)
+    grid = _tap_gemm(cache, kernel.value)
+    if epilogue is not None:
+        epilogue(grid)
+    return _crop(grid, cache)
 
 
 def conv2d_backward(
@@ -324,10 +378,39 @@ class BatchNormCache:
     mode: str
 
 
+def running_statistics(state: BatchNormState) -> tuple[np.ndarray, np.ndarray]:
+    """Inference mean and invstd = 1/sqrt(var + eps), shared by both
+    inference paths so that they cannot drift apart.
+
+    The running statistics are an EMA that starts at mean 0 and var 1, so
+    after t updates m^t of their weight still sits on those start values;
+    dividing it out, as Adam's bias correction does, gives mean/(1 - m^t)
+    and (var - m^t)/(1 - m^t). This is computed in float64 from the
+    stored EMA and cast back; the clamp at 0 guards the cancellation of
+    var - m^t when m^t is near 1. Before any update the stored values are
+    used as they are, with a warning.
+    """
+    mean, var = state.running_mean, state.running_var
+    t = state.num_updates
+    if t == 0:
+        if not state._warned_fresh_infer:
+            state._warned_fresh_infer = True
+            logger.warning(
+                "batchnorm inference with default-initialized running stats "
+                "(mean 0 / var 1); behaves as near-identity"
+            )
+    else:
+        decay = state.momentum ** t
+        mean = (mean.astype(np.float64) / (1.0 - decay)).astype(mean.dtype)
+        var = (np.maximum(var.astype(np.float64) - decay, 0.0) / (1.0 - decay)).astype(var.dtype)
+    return mean, 1.0 / np.sqrt(var + state.eps)
+
+
 def batchnorm_forward(
     x: Tensor, gamma: Parameter, beta: Parameter, state: BatchNormState, mode: str
 ) -> tuple[Tensor, BatchNormCache]:
-    """Per-channel normalization over N,H,W; train mode updates running stats."""
+    """Per-channel normalization over N,H,W; train mode updates running
+    stats, infer mode reads them through running_statistics."""
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
     c = x.shape[1]
@@ -344,19 +427,29 @@ def batchnorm_forward(
             state.running_var.dtype
         )
         state.num_updates += 1
+        invstd = 1.0 / np.sqrt(var + state.eps)
     else:
-        if state.num_updates == 0 and not state._warned_fresh_infer:
-            state._warned_fresh_infer = True
-            logger.warning(
-                "batchnorm inference with default-initialized running stats "
-                "(mean 0 / var 1); behaves as near-identity"
-            )
-        mean = state.running_mean
-        var = state.running_var
-    invstd = 1.0 / np.sqrt(var + state.eps)
+        mean, invstd = running_statistics(state)
     xhat = (x.data - mean.reshape(1, -1, 1, 1)) * invstd.reshape(1, -1, 1, 1)
     out = gamma.value.reshape(1, -1, 1, 1) * xhat + beta.value.reshape(1, -1, 1, 1)
     return Tensor(out), BatchNormCache(xhat, invstd, mode)
+
+
+def batchnorm_relu_infer(
+    h: np.ndarray, gamma: Parameter, beta: Parameter, state: BatchNormState
+) -> None:
+    """relu(batchnorm_forward(h, mode="infer")) in place on a channel-major
+    array h (C, ...). The arithmetic and its order are fixed to the ones
+    of batchnorm_forward's infer branch, (h - mean) * invstd, then
+    gamma * xhat + beta, so the bits are the same; only the ReLU differs
+    in form (np.maximum propagates NaN where relu_forward zeroes it)."""
+    mean, invstd = running_statistics(state)
+    per_channel = (-1,) + (1,) * (h.ndim - 1)
+    h -= mean.reshape(per_channel)
+    h *= invstd.reshape(per_channel)
+    h *= gamma.value.reshape(per_channel)
+    h += beta.value.reshape(per_channel)
+    np.maximum(h, 0, out=h)
 
 
 def batchnorm_backward(
@@ -457,10 +550,16 @@ def bilinear_upsample_2x_forward(x: Tensor) -> tuple[Tensor, UpsampleCache]:
     out = Wr @ x @ Wc^T, and the backward pass is its exact transpose by
     construction."""
     _, _, h, w = x.shape
-    wr = _bilinear_matrix(h, x.dtype)
-    wc = _bilinear_matrix(w, x.dtype)
-    out = np.matmul(np.matmul(wr, x.data), wc.T)
-    return Tensor(out), UpsampleCache(wr, wc, x.shape)
+    out = bilinear_upsample_2x_infer(x.data)
+    return Tensor(out), UpsampleCache(_bilinear_matrix(h, x.dtype), _bilinear_matrix(w, x.dtype),
+                                      x.shape)
+
+
+def bilinear_upsample_2x_infer(x: np.ndarray) -> np.ndarray:
+    """The upsampling map alone, on the last two axes of any array."""
+    wr = _bilinear_matrix(x.shape[-2], x.dtype)
+    wc = _bilinear_matrix(x.shape[-1], x.dtype)
+    return np.matmul(np.matmul(wr, x), wc.T)
 
 
 def bilinear_upsample_2x_backward(grad_out: Tensor, cache: UpsampleCache | None) -> Tensor:

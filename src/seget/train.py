@@ -166,8 +166,7 @@ def evaluate(
     for start in range(0, len(patches), batch_size):
         idx = range(start, min(start + batch_size, len(patches)))
         batch, masks, _ = _as_batch(patches, idx, dt, use_weights=False)
-        logits = net.forward(batch, mode="infer")
-        pred = (sigmoid(logits.data) > threshold).astype(np.int64)
+        pred = (sigmoid(net.infer(batch)) > threshold).astype(np.int64)
         accumulate_confusion(pred[:, 0], masks.data[:, 0].astype(np.int64), counts)
     return miou(counts), pixel_accuracy(counts)
 

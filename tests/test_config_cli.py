@@ -196,6 +196,15 @@ class TestCliTrain:
         assert rc == 2
         assert not (out / "manifest.txt").exists()
 
+    def test_non_finite_volume_exits_2_before_writing(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = cli.main(["train", "--volume", str(nan_volume(synth_dir, tmp_path)),
+                       "--mask", str(synth_dir / "mask_blob.mrc"), "--out-dir", str(out),
+                       *TRAIN_OVERRIDES])
+        assert rc == 2
+        assert "1 non-finite voxels" in capsys.readouterr().err
+        assert not (out / "manifest.txt").exists()
+
     def test_empty_validation_split_exits_2_before_writing(self, tmp_path, capsys):
         data = tmp_path / "three"
         assert cli.main(["synth", "--seed", "1", "--size", "32", "--slices", "3",
@@ -208,6 +217,18 @@ class TestCliTrain:
         err = capsys.readouterr().err
         assert "3 slices" in err and "period 5" in err and "phase 4" in err
         assert not (out / "manifest.txt").exists()
+
+
+def nan_volume(synth_dir, tmp_path):
+    """The synthetic volume as a float32 (mode 2) MRC with one NaN voxel."""
+    raw = (synth_dir / "volume.mrc").read_bytes()
+    header = bytearray(raw[:1024])
+    struct.pack_into("<i", header, 12, 2)
+    data = np.frombuffer(raw, dtype=np.int8, offset=1024).astype(np.float32)
+    data[100] = np.nan
+    path = tmp_path / "nan.mrc"
+    path.write_bytes(bytes(header) + data.tobytes())
+    return path
 
 
 class TestCliPredict:
@@ -303,6 +324,16 @@ class TestCliPredict:
             "--out-dir", str(tmp_path / "x"), "--window", "32", "--stride", "32",
         ])
         assert rc == 2
+
+    def test_non_finite_volume_exits_2(self, synth_dir, trained_dir, tmp_path, capsys):
+        """A NaN voxel is refused, not predicted as finite garbage."""
+        out = tmp_path / "pred"
+        rc = cli.main(["predict", "--checkpoint", str(trained_dir / "best.ckpt"),
+                       "--volume", str(nan_volume(synth_dir, tmp_path)),
+                       "--out-dir", str(out), "--window", "32", "--stride", "16"])
+        assert rc == 2
+        assert "(slice 0, y 3, x 4)" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_indivisible_window_exits_2(self, synth_dir, trained_dir, tmp_path):
         rc = cli.main([

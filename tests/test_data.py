@@ -138,6 +138,19 @@ class TestNormalize:
         assert out.min() == 0.0 and out.max() == 1.0
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_voxels_are_data_errors(self, bad):
+        """One NaN or infinity would make the whole min/max map NaN; the
+        error names the count and the first voxel as (slice, y, x)."""
+        data = np.arange(2 * 3 * 4, dtype=np.float32).reshape(2, 3, 4)
+        data[1, 2, 1] = bad
+        data[1, 2, 3] = bad
+        vol = parse_mrc(mrc_fixture(4, 3, 2, mode=2, payload=data.tobytes()))
+        for per_slice in (False, True):
+            with pytest.raises(DataFormatError, match=r"2 non-finite voxels.*slice 1, y 2, x 1"):
+                normalize(vol, per_slice=per_slice)
+
+
 class TestPatching:
     def test_2048_window512_stride256_gives_49(self):
         image = np.zeros((2048, 2048), dtype=np.float32)

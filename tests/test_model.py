@@ -174,6 +174,108 @@ class TestBackward:
             assert np.all(np.isfinite(p.grad)), name
 
 
+def trained(cfg, shape, updates, seed=0):
+    """A network whose BN running statistics came from `updates` train-mode
+    forwards on random batches of `shape`, with gammas, betas and the logit
+    bias moved off their initial 1 and 0, and a fresh input batch."""
+    net = build(cfg, seed=seed)
+    rng = np.random.default_rng(seed + 100)
+    for name, p in net.parameters.items():
+        if not name.endswith(".kernel"):
+            p.value += (0.3 * rng.standard_normal(p.value.shape)).astype(p.value.dtype)
+    for _ in range(updates):
+        net.forward(Tensor(rng.random(shape).astype(cfg.np_dtype)), mode="train")
+    return net, Tensor(rng.random(shape).astype(cfg.np_dtype))
+
+
+class TestInfer:
+    """net.infer is forward(mode="infer") without bookkeeping: the same bits,
+    and no state touched."""
+
+    @pytest.mark.parametrize("cfg, shape, updates", [
+        (NetworkConfig(base_filters=4, depth=4), (12, 1, 64, 64), 2),
+        (NetworkConfig(base_filters=3, depth=3, dilation_rates=(1, 2, 4), dtype="float64"),
+         (3, 1, 32, 48), 3),
+        (NetworkConfig(base_filters=2, depth=1, dilation_rates=(1,)), (5, 1, 18, 10), 1),
+        (NetworkConfig(base_filters=8, depth=2, dilation_rates=(2, 3)), (1, 1, 16, 36), 1),
+    ], ids=["base4-depth4", "float64-depth3", "depth1-non-square", "batch1-rates23"])
+    def test_logits_equal_infer_mode_forward(self, cfg, shape, updates):
+        net, x = trained(cfg, shape, updates)
+        expected = net.forward(x, mode="infer").data
+        got = net.infer(x)
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        dtype=st.sampled_from(["float32", "float64"]),
+        depth=st.integers(1, 4),
+        base=st.integers(1, 3),
+        rates=st.lists(st.integers(1, 8), min_size=1, max_size=4),
+        n=st.integers(1, 12),
+        hw=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        updates=st.integers(1, 3),
+    )
+    def test_logits_equal_infer_mode_forward_property(self, dtype, depth, base, rates, n, hw,
+                                                      updates):
+        cfg = NetworkConfig(base_filters=base, depth=depth, dilation_rates=tuple(rates),
+                            dtype=dtype)
+        shape = (n, 1, hw[0] * cfg.downsample_factor, hw[1] * cfg.downsample_factor)
+        net, x = trained(cfg, shape, updates)
+        assert np.array_equal(net.infer(x), net.forward(x, mode="infer").data)
+
+    def test_leaves_training_state_alone(self):
+        """forward(train), infer, backward gives every gradient of
+        forward(train), backward, bit for bit; infer changes no BN
+        statistic, update count or cache."""
+        cfg = NetworkConfig(base_filters=3, depth=3, dilation_rates=(1, 2))
+
+        def state(net):
+            convs = [nd.unit for nd in net._nodes if nd.kind == "conv"]
+            caches = [getattr(u, "conv", u)._cache for u in convs]
+            caches += [getattr(u, "_bn_cache", None) for u in convs]
+            stats = [(st.running_mean.copy(), st.running_var.copy(), st.num_updates)
+                     for st in net.bn_states.values()]
+            return caches + list(net._op_caches.values()), stats
+
+        grads = []
+        for run_infer in (False, True):
+            net, x = trained(cfg, (4, 1, 32, 32), 1, seed=3)
+            y = net.forward(x, mode="train")
+            caches, stats = state(net)
+            if run_infer:
+                net.infer(rand_input(cfg, n=2, hw=48, seed=4))
+            caches_after, stats_after = state(net)
+            assert all(a is b for a, b in zip(caches, caches_after))
+            for (mean, var, t), (mean2, var2, t2) in zip(stats, stats_after):
+                assert np.array_equal(mean, mean2) and np.array_equal(var, var2) and t == t2
+            net.zero_grads()
+            net.backward(Tensor(np.ones_like(y.data)))
+            grads.append({n: p.grad.copy() for n, p in net.parameters.items()})
+        for name in grads[0]:
+            assert np.array_equal(grads[0][name], grads[1][name]), name
+
+    def test_infer_reproduces_the_train_batch_after_one_update(self):
+        """With the bias-corrected running statistics, one train-mode forward
+        leaves statistics equal to that batch's own, so infer mode gives
+        the train-mode logits back (up to the rounding of the EMA)."""
+        cfg = NetworkConfig(base_filters=3, depth=2, dilation_rates=(1, 2), dtype="float64")
+        net = build(cfg, seed=5)
+        x = rand_input(cfg, n=3, hw=32, seed=6)
+        train = net.forward(x, mode="train").data
+        np.testing.assert_allclose(net.forward(x, mode="infer").data, train,
+                                   rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(net.infer(x), train, rtol=1e-9, atol=1e-9)
+
+    def test_rejects_what_forward_rejects(self):
+        cfg = NetworkConfig(base_filters=2, depth=4)
+        net = build(cfg)
+        with pytest.raises(ValueError, match="divisible by 2\\^depth = 16"):
+            net.infer(rand_input(cfg, hw=40))
+        with pytest.raises(ValueError, match="2 channels"):
+            net.infer(Tensor(np.zeros((1, 2, 16, 16), dtype=np.float32)))
+
+
 class TestDescribe:
     def test_summary_counters_for_default_config(self):
         summary = build(NetworkConfig()).describe()

@@ -183,6 +183,45 @@ class TestConv2dForward:
         assert np.max(np.abs(lhs.data - rhs) / denom) < 1e-10
 
 
+class TestConv2dInfer:
+    """The cache-free conv reads channel-major sources as one stacked input
+    and gives conv2d_forward's bits."""
+
+    @pytest.mark.parametrize("spec, n, h, w, split", [
+        (ConvSpec(5, 4), 3, 9, 7, (2, 3)),
+        (ConvSpec(24, 8), 2, 16, 16, (8, 8, 8)),             # deep enough to read in place
+        (ConvSpec(6, 3, stride=2), 2, 10, 7, (1, 5)),
+        (ConvSpec(12, 5, dilation=8), 2, 8, 8, (4, 8)),      # one live tap of nine
+        (ConvSpec(40, 16, kernel=1), 12, 16, 16, (16, 16, 8)),  # several column blocks
+        (ConvSpec(1, 4), 1, 6, 10, (1,)),
+    ])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_multi_source_equals_forward_on_concatenation(self, spec, n, h, w, split, dtype):
+        rng = np.random.default_rng(sum(split) + n)
+        parts = [rng.standard_normal((n, c, h, w)).astype(dtype) for c in split]
+        kernel, bias = make_conv(
+            spec,
+            rng.standard_normal((spec.out_channels, spec.in_channels, spec.kernel, spec.kernel)),
+            rng.standard_normal(spec.out_channels),
+        )
+        kernel.value = kernel.value.astype(dtype)
+        bias.value = bias.value.astype(dtype)
+        y, _ = ops.conv2d_forward(Tensor(np.concatenate(parts, axis=1)), spec, kernel, bias)
+
+        def add_bias(grid):
+            grid += bias.value[:, None]
+
+        got = ops.conv2d_infer([a.transpose(1, 0, 2, 3) for a in parts], spec, kernel, add_bias)
+        assert got.dtype == y.dtype
+        assert np.array_equal(got.transpose(1, 0, 2, 3), y.data)
+
+    def test_channel_mismatch_names_both_counts(self):
+        spec = ConvSpec(3, 1)
+        kernel, _ = make_conv(spec, np.ones((1, 3, 3, 3)))
+        with pytest.raises(ValueError, match="2 channels.*in_channels=3"):
+            ops.conv2d_infer([np.ones((1, 1, 4, 4)), np.ones((1, 1, 4, 4))], spec, kernel)
+
+
 class TestConv2dBackward:
     def test_zero_grad_out_gives_zero_grads(self):
         spec = ConvSpec(2, 3)
@@ -360,6 +399,50 @@ class TestBatchNorm:
         assert state.num_updates == 1
 
 
+    def test_infer_after_one_update_reproduces_the_train_batch(self):
+        """Bias-corrected running statistics equal the statistics of the one
+        batch they have seen, so infer mode normalizes it as train mode
+        did."""
+        rng = np.random.default_rng(3)
+        for dtype, tol in ((np.float64, 1e-10), (np.float32, 2e-5)):
+            x = Tensor((rng.standard_normal((4, 3, 5, 5)) * 3.0 + 2.0).astype(dtype))
+            gamma = Parameter(rng.standard_normal(3).astype(dtype), "bn-gamma")
+            beta = Parameter(rng.standard_normal(3).astype(dtype), "bn-beta")
+            state = ops.BatchNormState.create(3, dtype=dtype)
+            train, _ = ops.batchnorm_forward(x, gamma, beta, state, "train")
+            infer, _ = ops.batchnorm_forward(x, gamma, beta, state, "infer")
+            assert infer.data.dtype == dtype
+            np.testing.assert_allclose(infer.data, train.data, rtol=tol, atol=tol)
+
+    def test_corrected_variance_is_clamped_at_zero(self):
+        """A constant channel has batch variance 0, but the float32 EMA
+        rounds 1 - m^t, here below m^t; unclamped, the corrected variance
+        would be negative beyond eps and invstd NaN."""
+        state = ops.BatchNormState.create(1, dtype=np.float32, momentum=0.9, eps=1e-9)
+        gamma = Parameter(np.ones(1, dtype=np.float32), "bn-gamma")
+        beta = Parameter(np.zeros(1, dtype=np.float32), "bn-beta")
+        ops.batchnorm_forward(Tensor(np.full((2, 1, 3, 3), 4.0, dtype=np.float32)),
+                              gamma, beta, state, "train")
+        assert float(state.running_var[0]) < state.momentum  # the rounding guarded against
+        mean, invstd = ops.running_statistics(state)
+        np.testing.assert_allclose(mean, [4.0], rtol=1e-6)
+        np.testing.assert_allclose(invstd, [1.0 / np.sqrt(1e-9)], rtol=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fused_infer_epilogue_equals_batchnorm_then_relu(self, dtype):
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.standard_normal((3, 4, 5, 6)).astype(dtype))
+        gamma = Parameter(rng.standard_normal(4).astype(dtype), "bn-gamma")
+        beta = Parameter(rng.standard_normal(4).astype(dtype), "bn-beta")
+        state = ops.BatchNormState.create(4, dtype=dtype)
+        ops.batchnorm_forward(Tensor(x.data * 2.0 + 1.0), gamma, beta, state, "train")
+        bn, _ = ops.batchnorm_forward(x, gamma, beta, state, "infer")
+        expected, _ = ops.relu_forward(bn)
+        h = np.ascontiguousarray(x.data.transpose(1, 0, 2, 3))
+        ops.batchnorm_relu_infer(h, gamma, beta, state)
+        assert np.array_equal(h.transpose(1, 0, 2, 3), expected.data)
+
+
 class TestActivations:
     def test_relu_values(self):
         y, _ = ops.relu_forward(Tensor(np.array([[[[-1.0, 2.5]]]])))
@@ -423,6 +506,13 @@ class TestBilinearUpsample:
         _, cache = ops.bilinear_upsample_2x_forward(x)
         g = ops.bilinear_upsample_2x_backward(Tensor(np.ones((1, 1, 10, 14))), cache)
         assert g.data.sum() == pytest.approx(4 * 5 * 7, abs=1e-9)
+
+
+    def test_infer_on_channel_major_equals_forward(self):
+        x = np.random.default_rng(5).standard_normal((3, 2, 5, 4)).astype(np.float32)
+        y, _ = ops.bilinear_upsample_2x_forward(Tensor(x))
+        got = ops.bilinear_upsample_2x_infer(x.transpose(1, 0, 2, 3))
+        assert np.array_equal(got.transpose(1, 0, 2, 3), y.data)
 
 
 class TestConcat:
