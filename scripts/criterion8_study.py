@@ -1,10 +1,8 @@
 #!/usr/bin/env python3
 """How robust acceptance criterion 8 is to rounding-level input noise.
 
-Runs criterion 8's exact protocol (tests/test_acceptance.py: 8 synthetic
-128^2 slices, base 4, depth 4, lr 2e-3, patience 30, at most 200 epochs;
-pass means train mIOU >= 0.95 and val mIOU >= 0.85 for the best
-checkpoint) once on the unperturbed volume and once per seed with the
+Runs criterion 8's protocol (tests/criterion8.py, the one the acceptance
+test runs) once on the unperturbed volume and once per seed with the
 normalized volume multiplied by 1 + 1e-7 * N(0, 1). A run that passes
 only for some of these perturbations hinges on float rounding, not on
 learning. Prints one line per run and the pass rate.
@@ -14,47 +12,30 @@ Fix the BLAS thread count for a reproducible run, e.g.:
 """
 
 import argparse
+import sys
 import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
-from seget.checkpoint import load_checkpoint
-from seget.data import normalize, oversample_positive, read_mrc, split_train_val
-from seget.losses import LossConfig
-from seget.model import NetworkConfig, build
-from seget.synth import SynthConfig, write_dataset
-from seget.train import TrainConfig, evaluate, fit
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from criterion8 import run_criterion_8  # noqa: E402
 
 NOISE = 1e-7
 
 
 def run(work: Path, seed: int | None) -> str:
     """One criterion-8 run; seed None is the unperturbed volume."""
-    paths = write_dataset(SynthConfig(seed=42, size=128, n_slices=8, classes=("blob",)),
-                          work / "data")
-    images = normalize(read_mrc(paths["volume"]))
-    if seed is not None:
-        images = images * (1.0 + NOISE * np.random.default_rng(seed).standard_normal(images.shape))
-    mask = (read_mrc(paths["blob"]).data != 0).astype(np.int8)
-    split = split_train_val(images, mask, window=64, stride=32, period=5, weight_cap=2000.0)
-    net = build(NetworkConfig(base_filters=4, depth=4), seed=0)
-    cfg = TrainConfig(
-        epochs=200, batch_size=12, learning_rate=2e-3, lr_decay=1e-6,
-        early_stop_patience=30, reduce_patience=10, seed=0,
-        checkpoint_path=str(work / "best.ckpt"), weight_cap=2000.0,
-    )
+    def perturb(images: np.ndarray) -> np.ndarray:
+        return images * (1.0 + NOISE * np.random.default_rng(seed).standard_normal(images.shape))
+
     t0 = time.monotonic()
-    report = fit(net, oversample_positive(split.train, 0), split.val, cfg,
-                 LossConfig(weight_cap=2000.0))
-    best, _ = load_checkpoint(cfg.checkpoint_path)
-    train_miou, _ = evaluate(best, split.train)
-    val_miou, _ = evaluate(best, split.val)
-    ok = train_miou >= 0.95 and val_miou >= 0.85 and len(report.records) <= 200
-    return (f"{'pass' if ok else 'FAIL'} seed={'none' if seed is None else seed} "
+    result = run_criterion_8(work, None if seed is None else perturb)
+    report = result.report
+    return (f"{'pass' if result.learned else 'FAIL'} seed={'none' if seed is None else seed} "
             f"epochs={len(report.records)} best_epoch={report.best_epoch} "
-            f"train_miou={train_miou:.4f} val_miou={val_miou:.4f} "
+            f"train_miou={result.train_miou:.4f} val_miou={result.val_miou:.4f} "
             f"stop={report.stop_reason} wall_s={time.monotonic() - t0:.0f}")
 
 

@@ -88,7 +88,7 @@ def normalize(volume: MrcVolume, per_slice: bool = False) -> np.ndarray:
     data = volume.data.astype(np.float64)
     finite = np.isfinite(data)
     if not finite.all():
-        s, y, x = np.argwhere(~finite)[0]
+        s, y, x = np.unravel_index(np.argmin(finite), data.shape)  # first False
         raise DataFormatError(
             f"volume holds {int(finite.size - np.count_nonzero(finite))} non-finite voxels, "
             f"the first at (slice {s}, y {y}, x {x})"

@@ -120,11 +120,12 @@ class _Conv:
         return ops.conv2d_backward(g, self._cache, self.spec, self.kernel, self.bias)
 
     def infer(self, sources: list[np.ndarray]) -> np.ndarray:
-        """forward in infer mode on channel-major sources; keeps no cache."""
+        """forward in infer mode on channel-major sources; keeps no cache.
+        Only the biased logit conv runs bare: bias-free convs run inside
+        _ConvBnRelu.infer."""
         def add_bias(grid: np.ndarray) -> None:
             grid += self.bias.value[:, None]
-        epilogue = add_bias if self.bias is not None else None
-        return ops.conv2d_infer(sources, self.spec, self.kernel, epilogue)
+        return ops.conv2d_infer(sources, self.spec, self.kernel, add_bias)
 
     def parameters(self) -> dict[str, Parameter]:
         p = {f"{self.name}.kernel": self.kernel}

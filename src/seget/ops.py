@@ -267,20 +267,19 @@ def conv2d_forward(
 
 def conv2d_infer(
     sources: list[np.ndarray], spec: ConvSpec, kernel: Parameter,
-    epilogue: Callable[[np.ndarray], None] | None = None,
+    epilogue: Callable[[np.ndarray], None],
 ) -> np.ndarray:
     """conv2d_forward without bias and cache, on channel-major sources
     (C_k, N, H, W) stacked along channels in order; the result is a
     channel-major (OC, N, OH, OW) view of the output grid.
 
-    epilogue, if given, runs in place on the whole grid (OC, columns)
-    before the crop: a per-channel elementwise map such as a bias add or
+    epilogue runs in place on the whole grid (OC, columns) before the
+    crop: a per-channel elementwise map such as a bias add or
     batchnorm_relu_infer, whose values on the cropped columns are unused.
     """
     cache = _tap_layout(sources, spec, kernel.value)
     grid = _tap_gemm(cache, kernel.value)
-    if epilogue is not None:
-        epilogue(grid)
+    epilogue(grid)
     return _crop(grid, cache)
 
 

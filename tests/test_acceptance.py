@@ -10,29 +10,20 @@ import time
 import numpy as np
 import pytest
 
-from seget.checkpoint import load_checkpoint
-from seget.data import (
-    extract_patches,
-    normalize,
-    oversample_positive,
-    parse_mrc,
-    read_mrc,
-    split_train_val,
-)
+from seget.data import extract_patches, oversample_positive, parse_mrc
 from seget.errors import DataFormatError
 from seget.gradcheck import run_network_suite, run_operator_suite
 from seget.losses import (
     ConfusionCounts,
-    LossConfig,
     accumulate_confusion,
     bce_stable,
     make_weight_matrix,
     miou,
 )
 from seget.model import NetworkConfig, build, probe_center_branches
-from seget.synth import SynthConfig, write_dataset
 from seget.tensor import Tensor
-from seget.train import TrainConfig, evaluate, fit
+from seget.train import TrainConfig, fit
+from criterion8 import TRAIN_MIOU, VAL_MIOU, run_criterion_8
 from oracles import brute_force_miou
 from test_data import mrc_fixture
 
@@ -190,32 +181,11 @@ def test_criterion_8_end_to_end_learning(tmp_path):
     The stated budget is 15 minutes single-threaded; this run finishes in
     a fraction of that even without pinning BLAS threads."""
     t0 = time.monotonic()
-    paths = write_dataset(SynthConfig(seed=42, size=128, n_slices=8, classes=("blob",)),
-                          tmp_path / "data")
-    images = normalize(read_mrc(paths["volume"]))
-    mask = (read_mrc(paths["blob"]).data != 0).astype(np.int8)
-    split = split_train_val(images, mask, window=64, stride=32, period=5,
-                            weight_cap=2000.0)
-    train_patches = oversample_positive(split.train, 0)
-
-    net = build(NetworkConfig(base_filters=4, depth=4), seed=0)
-    cfg = TrainConfig(
-        epochs=200, batch_size=12, learning_rate=2e-3, lr_decay=1e-6,
-        early_stop_patience=30, reduce_patience=10, seed=0,
-        checkpoint_path=str(tmp_path / "best.ckpt"), weight_cap=2000.0,
-    )
-    report = fit(net, train_patches, split.val, cfg, LossConfig(weight_cap=2000.0))
-
-    best, _ = load_checkpoint(cfg.checkpoint_path)
-    train_miou, _ = evaluate(best, split.train)
-    val_miou, _ = evaluate(best, split.val)
+    run = run_criterion_8(tmp_path)
     elapsed = time.monotonic() - t0
-    ok = (
-        train_miou >= 0.95 and val_miou >= 0.85
-        and len(report.records) <= 200 and elapsed < 900.0
-    )
-    _report(8, ok, f"train mIOU {train_miou:.4f} (>= 0.95), val mIOU "
-                   f"{val_miou:.4f} (>= 0.85), {len(report.records)} epochs, "
+    ok = run.learned and elapsed < 900.0
+    _report(8, ok, f"train mIOU {run.train_miou:.4f} (>= {TRAIN_MIOU}), val mIOU "
+                   f"{run.val_miou:.4f} (>= {VAL_MIOU}), {len(run.report.records)} epochs, "
                    f"{elapsed:.0f}s (< 900s)")
 
 

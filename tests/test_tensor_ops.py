@@ -219,7 +219,8 @@ class TestConv2dInfer:
         spec = ConvSpec(3, 1)
         kernel, _ = make_conv(spec, np.ones((1, 3, 3, 3)))
         with pytest.raises(ValueError, match="2 channels.*in_channels=3"):
-            ops.conv2d_infer([np.ones((1, 1, 4, 4)), np.ones((1, 1, 4, 4))], spec, kernel)
+            ops.conv2d_infer([np.ones((1, 1, 4, 4)), np.ones((1, 1, 4, 4))], spec, kernel,
+                             lambda grid: None)
 
 
 class TestConv2dBackward:
