@@ -41,6 +41,8 @@ EXIT_DATA = 2
 EXIT_RUNTIME = 3
 EXIT_IO = 4
 
+PREDICT_BATCH = 8   # windows per inference forward
+
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
@@ -157,8 +159,7 @@ def _require_window_fits(window: int, config: NetworkConfig) -> None:
         )
 
 
-def _predict_volume(net, images: np.ndarray, window: int, stride: int,
-                    batch_size: int = 8) -> np.ndarray:
+def _predict_volume(net, images: np.ndarray, window: int, stride: int) -> np.ndarray:
     """Per-slice patch inference with mean-overlap stitching; edge-aligned
     last windows cover the strips a stride that does not divide
     extent - window would leave out."""
@@ -175,8 +176,8 @@ def _predict_volume(net, images: np.ndarray, window: int, stride: int,
         except DataFormatError as exc:
             raise DataFormatError(f"slice {s}: {exc}") from exc
         entries = []
-        for start in range(0, len(origins), batch_size):
-            chunk = origins[start : start + batch_size]
+        for start in range(0, len(origins), PREDICT_BATCH):
+            chunk = origins[start : start + PREDICT_BATCH]
             batch = np.stack(
                 [images[s, y : y + window, x : x + window] for y, x in chunk]
             )[:, None].astype(dt)

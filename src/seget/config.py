@@ -166,7 +166,6 @@ def _preset(lr: float, decay: float, epochs: int, es_patience: int,
             learning_rate=lr,
             lr_decay=decay,
             early_stop_patience=es_patience,
-            reduce_factor=0.5,
             reduce_patience=red_patience,
             oversample_copies=oversample,
             weight_cap=cap,

@@ -199,8 +199,6 @@ def holdout_indices(n_slices: int, period: int = 5, phase: int | None = None) ->
 class DatasetSplit:
     train: list[Patch]
     val: list[Patch]
-    train_slices: list[int]
-    val_slices: list[int]
 
 
 def split_train_val(
@@ -225,7 +223,7 @@ def split_train_val(
                                        slice_index=s, weight_cap=weight_cap))
         return out
 
-    return DatasetSplit(_collect(train_idx), _collect(val_idx), train_idx, val_idx)
+    return DatasetSplit(_collect(train_idx), _collect(val_idx))
 
 
 def oversample_positive(patches: list[Patch], copies: int) -> list[Patch]:

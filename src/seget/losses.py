@@ -18,28 +18,29 @@ pixel accuracy (trace over total).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .ops import sigmoid
+from .ops import sigmoid, sigmoid_backward, sigmoid_forward
 from .tensor import Parameter, Tensor
+
+# s in the Jaccard distance, added to its numerator and denominator
+JACCARD_SMOOTH = 1.0
 
 
 @dataclass
 class LossConfig:
     l2_lambda: float = 1e-4       # weight-regularizer coefficient
-    jaccard_smooth: float = 1.0   # added to numerator and denominator
     weight_cap: float = 2000.0    # maximum foreground B/F weight
 
     def __post_init__(self) -> None:
-        if self.l2_lambda < 0:
-            raise ValueError("l2_lambda must be >= 0")
-        if self.jaccard_smooth <= 0:
-            raise ValueError("jaccard_smooth must be > 0")
-        if self.weight_cap < 1:
-            raise ValueError("weight_cap must be >= 1")
+        if not (math.isfinite(self.l2_lambda) and self.l2_lambda >= 0):
+            raise ValueError("l2_lambda must be finite and >= 0")
+        if not (math.isfinite(self.weight_cap) and self.weight_cap >= 1):
+            raise ValueError("weight_cap must be finite and >= 1")
 
 
 def _require_binary(t: np.ndarray, what: str) -> None:
@@ -77,9 +78,7 @@ def bce_stable(
     return loss, Tensor(grad)
 
 
-def jaccard_distance_loss(
-    probs: Tensor, targets: Tensor, smooth: float = 1.0
-) -> tuple[float, Tensor]:
+def jaccard_distance_loss(probs: Tensor, targets: Tensor) -> tuple[float, Tensor]:
     """Smoothed Jaccard distance 1 - (I+s)/(U+s) over all pixels.
 
     probs must already be probabilities; callers apply sigmoid first.
@@ -92,14 +91,12 @@ def jaccard_distance_loss(
     if np.any(y < -1e-6) or np.any(y > 1.0 + 1e-6):
         raise ValueError("probs must lie in [0, 1]; apply sigmoid before this loss")
     _require_binary(t, "targets")
-    if smooth <= 0:
-        raise ValueError("smooth must be > 0")
     inter = float((y * t).sum())
     union = float(y.sum()) + float(t.sum()) - inter
-    denom = union + smooth
-    loss = 1.0 - (inter + smooth) / denom
+    denom = union + JACCARD_SMOOTH
+    loss = 1.0 - (inter + JACCARD_SMOOTH) / denom
     # quotient rule: dJ/dy = (t*(U+s) - (I+s)*(1-t)) / (U+s)^2
-    grad = -(t * denom - (inter + smooth) * (1.0 - t)) / (denom * denom)
+    grad = -(t * denom - (inter + JACCARD_SMOOTH) * (1.0 - t)) / (denom * denom)
     return loss, Tensor(grad)
 
 
@@ -112,14 +109,15 @@ def combined_loss(
 ) -> tuple[float, Tensor]:
     """L_b + L_j + lambda*psi(W); returns (loss, grad wrt logits).
 
-    The Jaccard gradient is chained through the sigmoid. The lambda
-    term adds lambda*w onto each regularized parameter's grad buffer as
-    a side effect, matching how the network's backward accumulates.
+    The Jaccard gradient is chained through the sigmoid operator's own
+    backward. The lambda term adds lambda*w onto each regularized
+    parameter's grad buffer as a side effect, matching how the network's
+    backward accumulates.
     """
     bce, grad_bce = bce_stable(logits, targets, weights)
-    s = sigmoid(logits.data)
-    jac, grad_jac = jaccard_distance_loss(Tensor(s), targets, cfg.jaccard_smooth)
-    grad = grad_bce.data + grad_jac.data * s * (1.0 - s)
+    probs, s = sigmoid_forward(logits)
+    jac, grad_jac = jaccard_distance_loss(probs, targets)
+    grad = grad_bce.data + sigmoid_backward(grad_jac, s).data
     total = bce + jac
     if cfg.l2_lambda > 0:
         reg = 0.0

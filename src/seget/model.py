@@ -282,9 +282,7 @@ class SegETNetwork:
             cat.append(out)
         cat.append(center_in)
         x = node("center.concat", "concat", None, *cat)
-        self.center_reduce, x = conv(
-            "center.reduce", ConvSpec(len(cat) * f_top, 2 * f_top, kernel=1), x
-        )
+        _, x = conv("center.reduce", ConvSpec(len(cat) * f_top, 2 * f_top, kernel=1), x)
 
         d_outs: list[int] = []
         h_ch = 2 * f_top

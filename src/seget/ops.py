@@ -352,22 +352,24 @@ def conv2d_backward(
 # batch normalization
 # ---------------------------------------------------------------------------
 
+# the EMA momentum of the running statistics (Keras's default, as in the
+# paper's network) and the epsilon added to every variance
+BN_MOMENTUM = 0.99
+BN_EPS = 1e-5
+
+
 @dataclass
 class BatchNormState:
     """Per-layer running statistics, updated by EMA in train mode."""
 
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.99
-    eps: float = 1e-5
     num_updates: int = 0
     _warned_fresh_infer: bool = False
 
     @classmethod
-    def create(cls, channels: int, dtype: np.dtype | str = np.float32,
-               momentum: float = 0.99, eps: float = 1e-5) -> "BatchNormState":
-        return cls(np.zeros(channels, dtype=dtype), np.ones(channels, dtype=dtype),
-                   momentum, eps)
+    def create(cls, channels: int, dtype: np.dtype | str = np.float32) -> "BatchNormState":
+        return cls(np.zeros(channels, dtype=dtype), np.ones(channels, dtype=dtype))
 
 
 @dataclass
@@ -399,10 +401,10 @@ def running_statistics(state: BatchNormState) -> tuple[np.ndarray, np.ndarray]:
                 "(mean 0 / var 1); behaves as near-identity"
             )
     else:
-        decay = state.momentum ** t
+        decay = BN_MOMENTUM ** t
         mean = (mean.astype(np.float64) / (1.0 - decay)).astype(mean.dtype)
         var = (np.maximum(var.astype(np.float64) - decay, 0.0) / (1.0 - decay)).astype(var.dtype)
-    return mean, 1.0 / np.sqrt(var + state.eps)
+    return mean, 1.0 / np.sqrt(var + BN_EPS)
 
 
 def batchnorm_forward(
@@ -418,7 +420,7 @@ def batchnorm_forward(
     if mode == "train":
         mean = x.data.mean(axis=(0, 2, 3))
         var = x.data.var(axis=(0, 2, 3))
-        m = state.momentum
+        m = BN_MOMENTUM
         state.running_mean = (m * state.running_mean + (1.0 - m) * mean).astype(
             state.running_mean.dtype
         )
@@ -426,7 +428,7 @@ def batchnorm_forward(
             state.running_var.dtype
         )
         state.num_updates += 1
-        invstd = 1.0 / np.sqrt(var + state.eps)
+        invstd = 1.0 / np.sqrt(var + BN_EPS)
     else:
         mean, invstd = running_statistics(state)
     xhat = (x.data - mean.reshape(1, -1, 1, 1)) * invstd.reshape(1, -1, 1, 1)
@@ -587,8 +589,6 @@ def concat_channels_forward(inputs: list[Tensor]) -> tuple[Tensor, list[int]]:
             raise ValueError(
                 f"concat inputs must share N,H,W: got {first} and {t.shape}"
             )
-    if len(inputs) == 1:
-        return Tensor(inputs[0].data.copy()), [inputs[0].shape[1]]
     channels = [t.shape[1] for t in inputs]
     return Tensor(np.concatenate([t.data for t in inputs], axis=1)), channels
 

@@ -17,6 +17,7 @@ import numpy as np
 
 HEADER_SIZE = 1024
 DEFAULT_CLASSES = ("blob", "tube", "ring")
+NOISE_SIGMA = 10.0   # std of the Gaussian background noise, in int8 grey levels
 
 
 @dataclass
@@ -25,7 +26,6 @@ class SynthConfig:
     size: int = 128          # square slice extent, must be divisible by 16
     n_slices: int = 8
     classes: tuple[str, ...] = DEFAULT_CLASSES
-    noise_sigma: float = 10.0
 
     def __post_init__(self) -> None:
         if self.size % 16:
@@ -91,7 +91,7 @@ def generate(cfg: SynthConfig) -> tuple[np.ndarray, dict[str, np.ndarray]]:
             _DRAWERS[name](m, rng)
             masks[name][s] = m.astype(np.int8)
             volume[s][m] += _INTENSITY[name]
-    volume += rng.normal(0.0, cfg.noise_sigma, volume.shape)
+    volume += rng.normal(0.0, NOISE_SIGMA, volume.shape)
     volume = np.clip(np.rint(volume), -128, 127).astype(np.int8)
     return volume, masks
 

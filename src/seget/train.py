@@ -11,6 +11,7 @@ improvement is strict (ties never reset a patience counter).
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -33,25 +34,21 @@ from .tensor import Parameter, Tensor
 
 logger = logging.getLogger(__name__)
 
+# Adam's published defaults (Kingma & Ba 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+# a plateau reduction halves the learning rate
+REDUCE_FACTOR = 0.5
+
 
 class Adam:
     """Adam with bias correction; grads are zeroed after each step."""
 
-    def __init__(
-        self,
-        params: Mapping[str, Parameter],
-        lr: float = 1e-4,
-        decay: float = 0.0,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: Mapping[str, Parameter], lr: float = 1e-4, decay: float = 0.0):
         self.params = dict(params)
         self.lr = lr
         self.decay = decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.lr_scale = 1.0  # plateau reductions multiply into this
         self.m = {n: np.zeros_like(p.value) for n, p in self.params.items()}
@@ -68,7 +65,7 @@ class Adam:
             raise ValueError(f"adam step with unset gradients: {unset[:3]}")
         self.t += 1
         alpha = self.effective_lr
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for n, p in self.params.items():
@@ -77,7 +74,7 @@ class Adam:
             self.v[n] = b2 * self.v[n] + (1.0 - b2) * g * g
             m_hat = self.m[n] / bc1
             v_hat = self.v[n] / bc2
-            p.value -= (alpha * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.value.dtype)
+            p.value -= (alpha * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.value.dtype)
             p.grad.fill(0.0)
 
 
@@ -88,7 +85,6 @@ class TrainConfig:
     learning_rate: float = 1e-4
     lr_decay: float = 1e-6
     early_stop_patience: int = 8
-    reduce_factor: float = 0.5
     reduce_patience: int = 3
     oversample_copies: int = 0
     weight_cap: float = 2000.0
@@ -96,17 +92,23 @@ class TrainConfig:
     threshold: float = 0.5
     seed: int = 0
     checkpoint_path: str = "best.ckpt"
-    min_delta: float = 0.0
 
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.early_stop_patience < 1 or self.reduce_patience < 1:
             raise ValueError("patiences must be >= 1")
-        if not 0.0 < self.reduce_factor < 1.0:
-            raise ValueError("reduce_factor must lie in (0, 1)")
         if self.oversample_copies < 0:
             raise ValueError("oversample_copies must be >= 0")
+        for name in ("learning_rate", "lr_decay", "weight_cap", "threshold"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if self.learning_rate <= 0.0 or self.lr_decay < 0.0:
+            raise ValueError("learning_rate must be > 0 and lr_decay >= 0")
+        if self.weight_cap < 1.0:
+            raise ValueError("weight_cap must be >= 1")
+        if not 0.0 < self.threshold < 1.0:
+            raise ValueError("threshold must lie in (0, 1)")
 
 
 @dataclass
@@ -231,7 +233,7 @@ def fit(
             log(record.log_line())
 
         # callback order: checkpoint, then LR-reduce, then early-stop
-        if val_value > best + cfg.min_delta:
+        if val_value > best:
             best = val_value
             report.best_epoch = epoch
             report.best_val_miou = val_value
@@ -241,7 +243,7 @@ def fit(
         else:
             lr_wait += 1
             if lr_wait >= cfg.reduce_patience:
-                opt.lr_scale *= cfg.reduce_factor
+                opt.lr_scale *= REDUCE_FACTOR
                 lr_wait = 0
                 logger.info("plateau: lr scale reduced to %.3g at epoch %d",
                             opt.lr_scale, epoch)

@@ -214,7 +214,7 @@ def test_criterion_9_training_protocol_determinism(tmp_path):
 
     seq2 = iter([0.5] + [0.4] * 7)
     cfg2 = TrainConfig(epochs=8, batch_size=2, early_stop_patience=8,
-                       reduce_patience=3, reduce_factor=0.5, learning_rate=1e-3,
+                       reduce_patience=3, learning_rate=1e-3,
                        lr_decay=0.0, checkpoint_path=str(tmp_path / "lr.ckpt"))
     lr_report = fit(build(net_cfg), make_patches(4), make_patches(2, seed=9), cfg2,
                     eval_fn=lambda n, v: next(seq2))

@@ -17,6 +17,56 @@ from seget.data import read_pgm, read_ppm, write_mask_pgm
 from seget.errors import ConfigError
 from seget.ops import sigmoid
 from seget.tensor import Tensor
+from seget.train import REDUCE_FACTOR
+
+
+_DATA_AND_PATHS = (
+    "[data]", "window = 512", "stride = 256", "holdout_period = 5", "holdout_phase = 4",
+    "normalize_per_slice = false", "",
+    "[paths]", "volume = ", "mask = ", "out_dir = runs/default", "checkpoint = ", "",
+)
+DEFAULT_DUMP = "\n".join((
+    "[network]", "base_filters = 16", "depth = 4", "dilation_rates = 1,2,4,8",
+    "dtype = float32", "",
+    "[loss]", "l2_lambda = 0.0001", "weight_cap = 2000.0", "",
+    "[train]", "epochs = 38", "batch_size = 12", "learning_rate = 0.0001",
+    "lr_decay = 1e-06", "early_stop_patience = 8", "reduce_patience = 3",
+    "oversample_copies = 0", "weight_cap = 2000.0", "use_weights = true",
+    "threshold = 0.5", "seed = 0", "checkpoint_path = best.ckpt", "",
+    *_DATA_AND_PATHS,
+))
+GOLGI_DUMP = "\n".join((
+    "[network]", "base_filters = 16", "depth = 4", "dilation_rates = 1,2,4,8",
+    "dtype = float32", "",
+    "[loss]", "l2_lambda = 0.0001", "weight_cap = 1000.0", "",
+    "[train]", "epochs = 124", "batch_size = 12", "learning_rate = 0.002",
+    "lr_decay = 1e-05", "early_stop_patience = 5", "reduce_patience = 2",
+    "oversample_copies = 2", "weight_cap = 1000.0", "use_weights = true",
+    "threshold = 0.5", "seed = 0", "checkpoint_path = best.ckpt", "",
+    *_DATA_AND_PATHS,
+))
+
+# keys of values that are now constants; an older config naming one is refused
+REMOVED_KEYS = [
+    ("train", "reduce_factor", "0.5"),
+    ("train", "reduce_factor", "1.5"),
+    ("train", "min_delta", "0.0"),
+    ("loss", "jaccard_smooth", "1.0"),
+]
+
+# malformed values that used to train anyway, die mid-run, or run silently
+# with a term switched off
+MALFORMED_SETTINGS = [
+    "train.lr_decay=-0.5",
+    "train.learning_rate=nan",
+    "train.learning_rate=-1",
+    "train.learning_rate=inf",
+    "train.weight_cap=0",
+    "train.threshold=1.5",
+    "train.threshold=0",
+    "loss.l2_lambda=nan",
+    "loss.weight_cap=nan",
+]
 
 
 class TestConfigFormat:
@@ -29,6 +79,19 @@ class TestConfigFormat:
         for name, preset in PRESETS.items():
             text = dump_config(preset)
             assert dump_config(parse_config(text)) == text, name
+
+    def test_default_dump_is_pinned(self):
+        """A dropped or renamed key changes these bytes; a round trip
+        cannot see it."""
+        assert dump_config(RunConfig()) == DEFAULT_DUMP
+
+    def test_golgi_preset_dump_is_pinned(self):
+        assert dump_config(load_preset("golgi")) == GOLGI_DUMP
+
+    @pytest.mark.parametrize("section,key,value", REMOVED_KEYS)
+    def test_removed_key_rejected(self, section, key, value):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(f"[{section}]\n{key} = {value}\n")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -48,9 +111,12 @@ class TestConfigFormat:
         with pytest.raises(ConfigError, match="true/false"):
             parse_config("[train]\nuse_weights = yes\n")
 
-    def test_invalid_values_are_config_errors(self):
-        with pytest.raises(ConfigError, match="reduce_factor"):
-            parse_config("[train]\nreduce_factor = 1.5\n")
+    @pytest.mark.parametrize("setting", MALFORMED_SETTINGS)
+    def test_invalid_values_are_config_errors(self, setting):
+        dotted, _, value = setting.partition("=")
+        section, _, key = dotted.partition(".")
+        with pytest.raises(ConfigError, match=key):
+            parse_config(f"[{section}]\n{key} = {value}\n")
 
     def test_comments_and_blank_lines_ignored(self):
         cfg = parse_config("# comment\n\n[train]\nepochs = 7  # trailing\n")
@@ -74,7 +140,7 @@ class TestPresets:
         assert t.lr_decay == 1e-6
         assert t.batch_size == 12
         assert t.early_stop_patience == 8
-        assert (t.reduce_factor, t.reduce_patience) == (0.5, 3)
+        assert (REDUCE_FACTOR, t.reduce_patience) == (0.5, 3)
         assert t.use_weights is False
 
     def test_mts_hyperparameters(self):
@@ -92,7 +158,7 @@ class TestPresets:
         t = load_preset("golgi").train
         assert t.oversample_copies == 2
         assert t.weight_cap == 1000.0
-        assert (t.reduce_factor, t.reduce_patience) == (0.5, 2)
+        assert t.reduce_patience == 2
 
     def test_granules_has_no_weighting(self):
         t = load_preset("granules").train
@@ -187,6 +253,20 @@ class TestCliTrain:
         cfg_file.write_text(f"[network]\n{line}\n")
         assert cli.main(["train", "--config", str(cfg_file), "--dump-config"]) == 1
         assert "unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,key,value", REMOVED_KEYS)
+    def test_setting_a_removed_key_exits_1(self, section, key, value, capsys):
+        assert cli.main(["train", "--set", f"{section}.{key}={value}", "--dump-config"]) == 1
+        assert "unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting", MALFORMED_SETTINGS)
+    def test_malformed_setting_exits_1_before_writing(self, synth_dir, tmp_path, setting):
+        out = tmp_path / "run"
+        rc = cli.main(["train", "--volume", str(synth_dir / "volume.mrc"),
+                       "--mask", str(synth_dir / "mask_blob.mrc"), "--out-dir", str(out),
+                       *TRAIN_OVERRIDES, "--set", setting])
+        assert rc == 1
+        assert not out.exists()
 
     def test_window_the_network_cannot_take_exits_2_before_writing(self, synth_dir, tmp_path):
         out = tmp_path / "run"

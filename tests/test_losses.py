@@ -104,19 +104,19 @@ class TestBceStable:
 class TestJaccard:
     def test_perfect_binary_match_is_zero(self):
         t = t4([[1.0, 0.0], [0.0, 1.0]])
-        loss, _ = jaccard_distance_loss(t, t, smooth=1.0)
+        loss, _ = jaccard_distance_loss(t, t)
         assert loss == 0.0
 
     def test_hand_worked_empty_prediction(self):
         """y all zeros against four foreground pixels: J = 1/5, loss = 0.8."""
         y = t4(np.zeros((2, 2)))
         t = t4(np.ones((2, 2)))
-        loss, _ = jaccard_distance_loss(y, t, smooth=1.0)
+        loss, _ = jaccard_distance_loss(y, t)
         assert loss == pytest.approx(0.8, abs=1e-12)
 
     def test_both_empty_is_zero_thanks_to_smoothing(self):
         z = t4(np.zeros((3, 3)))
-        loss, _ = jaccard_distance_loss(z, z, smooth=1.0)
+        loss, _ = jaccard_distance_loss(z, z)
         assert loss == 0.0
 
     def test_rejects_probs_outside_unit_interval(self):
@@ -136,14 +136,14 @@ class TestJaccard:
         rng = np.random.default_rng(3)
         y = rng.random((1, 1, 3, 3)) * 0.96 + 0.02
         t = (rng.random((1, 1, 3, 3)) > 0.5).astype(np.float64)
-        _, grad = jaccard_distance_loss(Tensor(y), Tensor(t), smooth=1.0)
+        _, grad = jaccard_distance_loss(Tensor(y), Tensor(t))
         step = 1e-7
         for idx in np.ndindex(y.shape):
             yp = y.copy(); yp[idx] += step
             ym = y.copy(); ym[idx] -= step
             fd = (
-                jaccard_distance_loss(Tensor(yp), Tensor(t), 1.0)[0]
-                - jaccard_distance_loss(Tensor(ym), Tensor(t), 1.0)[0]
+                jaccard_distance_loss(Tensor(yp), Tensor(t))[0]
+                - jaccard_distance_loss(Tensor(ym), Tensor(t))[0]
             ) / (2 * step)
             assert grad.data[idx] == pytest.approx(fd, abs=1e-5)
 
@@ -156,7 +156,7 @@ class TestCombinedLoss:
         cfg = LossConfig(l2_lambda=0.0)
         total, _ = combined_loss(Tensor(y), Tensor(t), {}, cfg)
         b, _ = bce_stable(Tensor(y), Tensor(t))
-        j, _ = jaccard_distance_loss(Tensor(sigmoid(y)), Tensor(t), cfg.jaccard_smooth)
+        j, _ = jaccard_distance_loss(Tensor(sigmoid(y)), Tensor(t))
         assert total == b + j
 
     def test_saturated_prediction_is_tiny(self):

@@ -377,7 +377,7 @@ class TestBatchNorm:
         beta = Parameter(np.zeros(2), "bn-beta")
         state = ops.BatchNormState.create(2, dtype=np.float64)
         y, _ = ops.batchnorm_forward(x, gamma, beta, state, "infer")
-        np.testing.assert_allclose(y.data, x.data / np.sqrt(1.0 + state.eps))
+        np.testing.assert_allclose(y.data, x.data / np.sqrt(1.0 + ops.BN_EPS))
 
     def test_infer_before_training_warns(self, caplog):
         x = Tensor(np.zeros((1, 1, 2, 2)))
@@ -416,18 +416,22 @@ class TestBatchNorm:
             np.testing.assert_allclose(infer.data, train.data, rtol=tol, atol=tol)
 
     def test_corrected_variance_is_clamped_at_zero(self):
-        """A constant channel has batch variance 0, but the float32 EMA
-        rounds 1 - m^t, here below m^t; unclamped, the corrected variance
-        would be negative beyond eps and invstd NaN."""
-        state = ops.BatchNormState.create(1, dtype=np.float32, momentum=0.9, eps=1e-9)
+        """A constant channel has batch variance 0, so its EMA variance is
+        m^t up to float32 rounding. A stored value rounded below m^t would,
+        unclamped, give a negative corrected variance and an invstd off
+        1/sqrt(eps). At m = 0.99 the EMA of one constant channel does not
+        round that way, so the stored variance is set one float32 ulp below
+        m after one update."""
+        state = ops.BatchNormState.create(1, dtype=np.float32)
         gamma = Parameter(np.ones(1, dtype=np.float32), "bn-gamma")
         beta = Parameter(np.zeros(1, dtype=np.float32), "bn-beta")
         ops.batchnorm_forward(Tensor(np.full((2, 1, 3, 3), 4.0, dtype=np.float32)),
                               gamma, beta, state, "train")
-        assert float(state.running_var[0]) < state.momentum  # the rounding guarded against
+        state.running_var[0] = np.nextafter(np.float32(ops.BN_MOMENTUM), np.float32(0))
+        assert float(state.running_var[0]) < ops.BN_MOMENTUM  # the rounding guarded against
         mean, invstd = ops.running_statistics(state)
         np.testing.assert_allclose(mean, [4.0], rtol=1e-6)
-        np.testing.assert_allclose(invstd, [1.0 / np.sqrt(1e-9)], rtol=1e-6)
+        np.testing.assert_allclose(invstd, [1.0 / np.sqrt(ops.BN_EPS)], rtol=1e-6)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_fused_infer_epilogue_equals_batchnorm_then_relu(self, dtype):

@@ -119,8 +119,7 @@ class TestCallbacks:
     def test_plateau_reducer_fires_once_per_run(self, tmp_path):
         seq = iter([0.5] + [0.4] * 7)
         net = build(SMALL, seed=0)
-        cfg = small_cfg(tmp_path, epochs=8, early_stop_patience=8,
-                        reduce_patience=3, reduce_factor=0.5,
+        cfg = small_cfg(tmp_path, epochs=8, early_stop_patience=8, reduce_patience=3,
                         learning_rate=1e-3, lr_decay=0.0)
         report = fit(net, make_patches(4), make_patches(2, seed=9), cfg,
                      eval_fn=lambda n, v: next(seq))
