@@ -5,7 +5,8 @@ Runs criterion 8's protocol (tests/criterion8.py, the one the acceptance
 test runs) once on the unperturbed volume and once per seed with the
 normalized volume multiplied by 1 + 1e-7 * N(0, 1). A run that passes
 only for some of these perturbations hinges on float rounding, not on
-learning. Prints one line per run and the pass rate.
+learning. Prints one line per run and the pass rate, and exits 1 if any
+run fails.
 
 Fix the BLAS thread count for a reproducible run, e.g.:
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/criterion8_study.py --seeds 8
@@ -50,6 +51,7 @@ def main() -> None:
         print(lines[-1], flush=True)
     passed = sum(line.startswith("pass") for line in lines)
     print(f"passed {passed}/{len(lines)}")
+    sys.exit(0 if passed == len(lines) else 1)
 
 
 if __name__ == "__main__":

@@ -187,7 +187,15 @@ def _predict_volume(net, images: np.ndarray, window: int, stride: int) -> np.nda
     return probs
 
 
+def _require_threshold(threshold: float) -> None:
+    """A threshold outside (0, 1), or NaN, would write all-background or
+    all-foreground masks; it is refused before any file is read."""
+    if not 0.0 < threshold < 1.0:
+        raise ConfigError(f"--threshold must lie in (0, 1), got {threshold}")
+
+
 def cmd_predict(args: argparse.Namespace) -> int:
+    _require_threshold(args.threshold)
     net, meta = load_checkpoint(args.checkpoint)
     volume = dp.read_mrc(args.volume)
     images = dp.normalize(volume, per_slice=args.normalize_per_slice)
@@ -244,6 +252,7 @@ def _load_prob_stack(path: str) -> np.ndarray:
 
 
 def cmd_fuse(args: argparse.Namespace) -> int:
+    _require_threshold(args.threshold)
     stacks = [_load_prob_stack(p) for p in args.probs]
     fused = dp.fuse_probabilities(stacks, threshold=args.threshold)
     out_dir = Path(args.out_dir)

@@ -55,6 +55,14 @@ _SECTIONS = ("network", "loss", "train", "data", "paths")
 
 # keys whose underlying field is not a plain scalar
 _TUPLE_KEYS = {("network", "dilation_rates")}
+# fields that are not config keys: train writes its checkpoint to
+# [paths] checkpoint, or <out_dir>/best.ckpt
+_NOT_KEYS = {("train", "checkpoint_path")}
+
+
+def _keys(section: str, sub) -> list[str]:
+    """The config keys of one section, in field order."""
+    return [f.name for f in fields(sub) if (section, f.name) not in _NOT_KEYS]
 
 
 def _format_value(v) -> str:
@@ -99,8 +107,8 @@ def dump_config(cfg: RunConfig) -> str:
     for section in _SECTIONS:
         sub = getattr(cfg, section)
         lines.append(f"[{section}]")
-        for f in fields(sub):
-            lines.append(f"{f.name} = {_format_value(getattr(sub, f.name))}")
+        for key in _keys(section, sub):
+            lines.append(f"{key} = {_format_value(getattr(sub, key))}")
         lines.append("")
     return "\n".join(lines)
 
@@ -127,8 +135,7 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         sub = getattr(cfg, section)
-        sub_fields = {f.name: f for f in fields(sub)}
-        if key not in sub_fields:
+        if key not in _keys(section, sub):
             raise ConfigError(f"line {lineno}: unknown key {key!r} in section [{section}]")
         target_type = type(getattr(sub, key))
         values[section][key] = _parse_value(value, target_type, (section, key))

@@ -15,7 +15,9 @@ infer (walk it without caches), backward (replay it in reverse, summing
 fan-out gradients per slot) and describe() (propagate shapes only).
 Forward caches are held per layer and per node and stay valid until the
 next forward, so repeated backward calls accumulate gradients
-additively; infer leaves them alone.
+additively; infer leaves them alone. Both forward and infer keep
+activations channel-major in memory (see ops); the Tensors of forward
+and backward still have NCHW shapes.
 """
 
 from __future__ import annotations
@@ -139,6 +141,10 @@ class _ConvBnRelu:
 
     The conv carries no bias: batch normalization's mean subtraction
     absorbs any constant shift, so the parameter would be dead weight.
+
+    In training the unit stores two arrays: the conv's input in its tap
+    layout and BN's xhat. The ReLU runs in place on BN's output and keeps
+    no mask; backward recomputes it from xhat.
     """
 
     def __init__(self, name: str, spec: ConvSpec, rng: np.random.Generator, dtype):
@@ -147,7 +153,6 @@ class _ConvBnRelu:
         self.gamma, self.beta = init_bn_params(spec.out_channels, dtype)
         self.state = ops.BatchNormState.create(spec.out_channels, dtype)
         self._bn_cache: ops.BatchNormCache | None = None
-        self._relu_cache: np.ndarray | None = None
 
     @property
     def spec(self) -> ConvSpec:
@@ -156,7 +161,7 @@ class _ConvBnRelu:
     def forward(self, x: Tensor, mode: str) -> Tensor:
         h = self.conv.forward(x)
         h, self._bn_cache = ops.batchnorm_forward(h, self.gamma, self.beta, self.state, mode)
-        h, self._relu_cache = ops.relu_forward(h)
+        np.maximum(h.data, 0, out=h.data)
         return h
 
     def infer(self, sources: list[np.ndarray]) -> np.ndarray:
@@ -166,8 +171,19 @@ class _ConvBnRelu:
             lambda grid: ops.batchnorm_relu_infer(grid, self.gamma, self.beta, self.state),
         )
 
+    def _relu_mask(self) -> np.ndarray:
+        """forward's output > 0, recomputed from the cached xhat with the
+        arithmetic of batchnorm_forward (xhat * gamma, then + beta, in
+        xhat's dtype), so it is forward's mask bit for bit."""
+        per_channel = (1, -1, 1, 1)
+        h = self._bn_cache.xhat * self.gamma.value.reshape(per_channel)
+        h += self.beta.value.reshape(per_channel)
+        return h > 0
+
     def backward(self, g: Tensor) -> Tensor:
-        g = ops.relu_backward(g, self._relu_cache)
+        if self._bn_cache is None:
+            raise ValueError("backward requires a preceding forward pass")
+        g = Tensor(g.data * self._relu_mask())
         g = ops.batchnorm_backward(g, self._bn_cache, self.gamma, self.beta)
         return self.conv.backward(g)
 

@@ -8,6 +8,15 @@ BN gamma/beta) are accumulated additively onto the Parameter objects as
 a side contract. Ops never mutate their inputs; caches are per
 invocation, so separate invocations are independent.
 
+A Tensor's shape is always (N, C, H, W), but its memory may be either
+layout: C-contiguous NCHW, or channel-major, the (1, 0, 2, 3) transpose
+of a (C, N, H, W) array (possibly a cropped view of one). Every op
+accepts either. The conv and BN ops return channel-major Tensors, and
+upsample and concat work on the channel-major view and keep the layout
+they are given, so a training forward and backward keep every
+activation and gradient channel-major in memory from the first conv
+on, the layout the conv's tap GEMMs read and write.
+
 The *_infer functions are the cache-free inference path. They work on
 channel-major arrays (C, N, H, W) and return or modify plain arrays, and
 each gives the same bits as the matching *_forward in infer mode:
@@ -255,14 +264,14 @@ def conv2d_forward(
     bias may be None for bias-free convolutions (a conv feeding straight
     into batch normalization has its bias absorbed by the mean shift).
     Runs as the tap loop described above; the cache keeps the input in
-    the tap layout for the backward pass.
+    the tap layout for the backward pass. The output is channel-major, a
+    view of the cropped output grid.
     """
     cache = _tap_layout([x.data.transpose(1, 0, 2, 3)], spec, kernel.value)
-    y = _crop(_tap_gemm(cache, kernel.value), cache)
-    y = np.ascontiguousarray(y.transpose(1, 0, 2, 3))
+    grid = _tap_gemm(cache, kernel.value)
     if bias is not None:
-        y += bias.value.reshape(1, -1, 1, 1)
-    return Tensor(y), cache
+        grid += bias.value[:, None]
+    return Tensor(_crop(grid, cache).transpose(1, 0, 2, 3)), cache
 
 
 def conv2d_infer(
@@ -301,8 +310,9 @@ def conv2d_backward(
     - the layout gradient at the slice += K_group.T @ g[:, block].
 
     The input gradient is the layout gradient read back out of its phases,
-    which drops the padding. Skipped (dead) taps read only zeros, so their
-    kernel gradient is 0 and their input gradient lands in the padding.
+    which drops the padding, into a channel-major Tensor. Skipped (dead)
+    taps read only zeros, so their kernel gradient is 0 and their input
+    gradient lands in the padding.
     """
     if cache is None:
         raise ValueError("conv2d_backward requires the forward cache (run forward first)")
@@ -341,11 +351,10 @@ def conv2d_backward(
         for r, tap in enumerate(group):
             gkernel[:, :, tap.i, tap.j] = gk[:, r * c : (r + 1) * c]
     kernel.add_grad(gkernel)
-    gx = np.empty((n, c, h, w), dtype=dtype)
-    gxt = gx.transpose(1, 0, 2, 3)
+    gx = np.empty((c, n, h, w), dtype=dtype)
     for dst, view in _phase_views(glayout, cache):
-        gxt[(slice(None), slice(None), *dst)] = view
-    return Tensor(gx)
+        gx[(slice(None), slice(None), *dst)] = view
+    return Tensor(gx.transpose(1, 0, 2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -407,19 +416,35 @@ def running_statistics(state: BatchNormState) -> tuple[np.ndarray, np.ndarray]:
     return mean, 1.0 / np.sqrt(var + BN_EPS)
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-row dot products of two (C, M) arrays, one BLAS dot per row."""
+    return np.matmul(a[:, None, :], b[:, :, None]).reshape(-1)
+
+
 def batchnorm_forward(
     x: Tensor, gamma: Parameter, beta: Parameter, state: BatchNormState, mode: str
 ) -> tuple[Tensor, BatchNormCache]:
     """Per-channel normalization over N,H,W; train mode updates running
-    stats, infer mode reads them through running_statistics."""
+    stats, infer mode reads them through running_statistics.
+
+    Works on the channel-major view of x: the centred input is built once
+    as a channel-major array that becomes xhat in place (train mode takes
+    the variance from the dot products of its rows), and the output is
+    gamma * xhat + beta, built in place from it."""
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
     c = x.shape[1]
     if gamma.value.shape != (c,) or beta.value.shape != (c,):
         raise ValueError(f"gamma/beta must have {c} elements")
+    xcm = x.data.transpose(1, 0, 2, 3)
     if mode == "train":
-        mean = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
+        mean = xcm.mean(axis=(1, 2, 3))
+    else:
+        mean, invstd = running_statistics(state)
+    xhat = np.subtract(xcm, mean.reshape(-1, 1, 1, 1), order="C")
+    if mode == "train":
+        rows = xhat.reshape(c, -1)
+        var = _row_dots(rows, rows) / rows.shape[1]
         m = BN_MOMENTUM
         state.running_mean = (m * state.running_mean + (1.0 - m) * mean).astype(
             state.running_mean.dtype
@@ -429,11 +454,11 @@ def batchnorm_forward(
         )
         state.num_updates += 1
         invstd = 1.0 / np.sqrt(var + BN_EPS)
-    else:
-        mean, invstd = running_statistics(state)
-    xhat = (x.data - mean.reshape(1, -1, 1, 1)) * invstd.reshape(1, -1, 1, 1)
-    out = gamma.value.reshape(1, -1, 1, 1) * xhat + beta.value.reshape(1, -1, 1, 1)
-    return Tensor(out), BatchNormCache(xhat, invstd, mode)
+    xhat *= invstd.reshape(-1, 1, 1, 1)
+    out = xhat * gamma.value.reshape(-1, 1, 1, 1)
+    out += beta.value.reshape(-1, 1, 1, 1)
+    return (Tensor(out.transpose(1, 0, 2, 3)),
+            BatchNormCache(xhat.transpose(1, 0, 2, 3), invstd, mode))
 
 
 def batchnorm_relu_infer(
@@ -456,31 +481,41 @@ def batchnorm_relu_infer(
 def batchnorm_backward(
     grad_out: Tensor, cache: BatchNormCache | None, gamma: Parameter, beta: Parameter
 ) -> Tensor:
+    """Gradient wrt the BN input; accumulates gamma.grad and beta.grad.
+
+    With the per-channel sums dbeta = sum(g) and dgamma = sum(g * xhat)
+    over the m = N*H*W positions, train mode gives
+    dx = gamma * invstd * (g - dbeta/m - xhat * dgamma/m); in infer mode
+    the statistics are constants and dx = gamma * invstd * g. Runs on
+    channel-major rows and returns a channel-major Tensor."""
     if cache is None:
         raise ValueError("batchnorm_backward requires the forward cache")
-    g = grad_out.data
-    xhat = cache.xhat
-    gamma.add_grad((g * xhat).sum(axis=(0, 2, 3)))
-    beta.add_grad(g.sum(axis=(0, 2, 3)))
-    dxhat = g * gamma.value.reshape(1, -1, 1, 1)
-    invstd = cache.invstd.reshape(1, -1, 1, 1)
+    n, c, h, w = grad_out.shape
+    g = grad_out.data.transpose(1, 0, 2, 3).reshape(c, -1)
+    xhat = cache.xhat.transpose(1, 0, 2, 3).reshape(c, -1)
+    dgamma = _row_dots(g, xhat)
+    dbeta = g.sum(axis=1)
+    gamma.add_grad(dgamma)
+    beta.add_grad(dbeta)
+    scale = (gamma.value * cache.invstd)[:, None]
     if cache.mode == "infer":
-        # running stats are constants at inference
-        return Tensor(dxhat * invstd)
-    n, _, h, w = g.shape
-    m = n * h * w
-    dx = (invstd / m) * (
-        m * dxhat
-        - dxhat.sum(axis=(0, 2, 3), keepdims=True)
-        - xhat * (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-    )
-    return Tensor(dx)
+        dx = g * scale
+    else:
+        m = g.shape[1]
+        dx = xhat * (-dgamma / m)[:, None]
+        dx += g
+        dx -= (dbeta / m)[:, None]
+        dx *= scale
+    return Tensor(dx.reshape(c, n, h, w).transpose(1, 0, 2, 3))
 
 
 # ---------------------------------------------------------------------------
 # activations
 # ---------------------------------------------------------------------------
 
+# The network's units apply ReLU in place on BN's output and recompute its
+# mask in backward (model._ConvBnRelu); these two stay as the reference
+# ReLU that gradcheck and the tests compare against.
 def relu_forward(x: Tensor) -> tuple[Tensor, np.ndarray]:
     mask = x.data > 0
     return Tensor(np.where(mask, x.data, 0.0)), mask
@@ -551,9 +586,9 @@ def bilinear_upsample_2x_forward(x: Tensor) -> tuple[Tensor, UpsampleCache]:
     out = Wr @ x @ Wc^T, and the backward pass is its exact transpose by
     construction."""
     _, _, h, w = x.shape
-    out = bilinear_upsample_2x_infer(x.data)
-    return Tensor(out), UpsampleCache(_bilinear_matrix(h, x.dtype), _bilinear_matrix(w, x.dtype),
-                                      x.shape)
+    out = bilinear_upsample_2x_infer(x.data.transpose(1, 0, 2, 3))
+    return (Tensor(out.transpose(1, 0, 2, 3)),
+            UpsampleCache(_bilinear_matrix(h, x.dtype), _bilinear_matrix(w, x.dtype), x.shape))
 
 
 def bilinear_upsample_2x_infer(x: np.ndarray) -> np.ndarray:
@@ -571,8 +606,9 @@ def bilinear_upsample_2x_backward(grad_out: Tensor, cache: UpsampleCache | None)
             f"grad_out spatial {grad_out.shape[2:]} does not match upsampled "
             f"{(2 * cache.input_shape[2], 2 * cache.input_shape[3])}"
         )
-    gx = np.matmul(np.matmul(cache.row_matrix.T, grad_out.data), cache.col_matrix)
-    return Tensor(gx)
+    g = grad_out.data.transpose(1, 0, 2, 3)
+    gx = np.matmul(np.matmul(cache.row_matrix.T, g), cache.col_matrix)
+    return Tensor(gx.transpose(1, 0, 2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +616,8 @@ def bilinear_upsample_2x_backward(grad_out: Tensor, cache: UpsampleCache | None)
 # ---------------------------------------------------------------------------
 
 def concat_channels_forward(inputs: list[Tensor]) -> tuple[Tensor, list[int]]:
-    """Stack along the channel axis in argument order."""
+    """Stack along the channel axis in argument order, which is the leading
+    axis of the channel-major memory."""
     if not inputs:
         raise ValueError("concat_channels requires at least one input")
     first = inputs[0].shape
@@ -590,10 +627,12 @@ def concat_channels_forward(inputs: list[Tensor]) -> tuple[Tensor, list[int]]:
                 f"concat inputs must share N,H,W: got {first} and {t.shape}"
             )
     channels = [t.shape[1] for t in inputs]
-    return Tensor(np.concatenate([t.data for t in inputs], axis=1)), channels
+    out = np.concatenate([t.data.transpose(1, 0, 2, 3) for t in inputs])
+    return Tensor(out.transpose(1, 0, 2, 3)), channels
 
 
 def concat_channels_backward(grad_out: Tensor, channels: list[int] | None) -> list[Tensor]:
+    """Per input, a view of its channels of grad_out (no copy)."""
     if channels is None:
         raise ValueError("concat_channels_backward requires the forward cache")
     if grad_out.shape[1] != sum(channels):
@@ -603,6 +642,6 @@ def concat_channels_backward(grad_out: Tensor, channels: list[int] | None) -> li
     grads = []
     start = 0
     for c in channels:
-        grads.append(Tensor(np.ascontiguousarray(grad_out.data[:, start : start + c])))
+        grads.append(Tensor(grad_out.data[:, start : start + c]))
         start += c
     return grads

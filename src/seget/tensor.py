@@ -1,9 +1,11 @@
 """Dense 4-D tensors, trainable parameters, and convolution specs.
 
 Everything numeric in the network flows through these three types. A
-Tensor is a batch of feature maps in row-major N,C,H,W order; a Parameter is a trainable array with an
-additively-accumulated gradient; a ConvSpec pins down one convolution's
-geometry (kernel size, stride, dilation, channel counts).
+Tensor is a batch of feature maps of shape (N, C, H, W), held either
+C-contiguous or channel-major (see seget.ops); a Parameter is a
+trainable array with an additively-accumulated gradient; a ConvSpec
+pins down one convolution's geometry (kernel size, stride, dilation,
+channel counts).
 """
 
 from __future__ import annotations

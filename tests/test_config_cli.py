@@ -32,7 +32,7 @@ DEFAULT_DUMP = "\n".join((
     "[train]", "epochs = 38", "batch_size = 12", "learning_rate = 0.0001",
     "lr_decay = 1e-06", "early_stop_patience = 8", "reduce_patience = 3",
     "oversample_copies = 0", "weight_cap = 2000.0", "use_weights = true",
-    "threshold = 0.5", "seed = 0", "checkpoint_path = best.ckpt", "",
+    "threshold = 0.5", "seed = 0", "",
     *_DATA_AND_PATHS,
 ))
 GOLGI_DUMP = "\n".join((
@@ -42,7 +42,7 @@ GOLGI_DUMP = "\n".join((
     "[train]", "epochs = 124", "batch_size = 12", "learning_rate = 0.002",
     "lr_decay = 1e-05", "early_stop_patience = 5", "reduce_patience = 2",
     "oversample_copies = 2", "weight_cap = 1000.0", "use_weights = true",
-    "threshold = 0.5", "seed = 0", "checkpoint_path = best.ckpt", "",
+    "threshold = 0.5", "seed = 0", "",
     *_DATA_AND_PATHS,
 ))
 
@@ -52,7 +52,12 @@ REMOVED_KEYS = [
     ("train", "reduce_factor", "1.5"),
     ("train", "min_delta", "0.0"),
     ("loss", "jaccard_smooth", "1.0"),
+    # train writes its checkpoint to [paths] checkpoint; this key was ignored
+    ("train", "checkpoint_path", "elsewhere.ckpt"),
 ]
+
+# thresholds predict and fuse refuse, as train does
+BAD_THRESHOLDS = ["1.5", "1", "0", "-0.1", "nan", "inf"]
 
 # malformed values that used to train anyway, die mid-run, or run silently
 # with a term switched off
@@ -424,6 +429,18 @@ class TestCliPredict:
         assert rc == 2
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("threshold", BAD_THRESHOLDS)
+    def test_bad_threshold_exits_1_before_reading(self, tmp_path, capsys, threshold):
+        """Refused before the (missing) checkpoint is opened, which would
+        exit 4."""
+        out = tmp_path / "x"
+        rc = cli.main(["predict", "--checkpoint", str(tmp_path / "none.ckpt"),
+                       "--volume", str(tmp_path / "none.mrc"), "--out-dir", str(out),
+                       "--window", "32", "--stride", "32", "--threshold", threshold])
+        assert rc == 1
+        assert "--threshold" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCliEvaluate:
     def test_identical_stacks_score_one(self, synth_dir, tmp_path, capsys):
@@ -548,6 +565,17 @@ class TestCliFuse:
         assert rc == 2
         assert str(path) in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("threshold", BAD_THRESHOLDS)
+    def test_bad_threshold_exits_1_before_reading(self, tmp_path, capsys, threshold):
+        """Refused before the (missing) stacks are opened, which would
+        exit 4."""
+        out = tmp_path / "o"
+        rc = cli.main(["fuse", "--probs", str(tmp_path / "none.npy"), "--out-dir", str(out),
+                       "--threshold", threshold])
+        assert rc == 1
+        assert "--threshold" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCliGradcheck:

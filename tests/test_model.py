@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seget import ops
 from seget.checkpoint import load_checkpoint, save_checkpoint
 from seget.errors import DataFormatError
-from seget.model import NetworkConfig, build, probe_center_branches
-from seget.tensor import Tensor
+from seget.model import NetworkConfig, _ConvBnRelu, build, probe_center_branches
+from seget.tensor import ConvSpec, Tensor
 
 TINY = NetworkConfig(base_filters=2, depth=1, dilation_rates=(1, 2), dtype="float64")
 SMALL = NetworkConfig(base_filters=4, depth=2, dilation_rates=(1, 2))
@@ -274,6 +275,56 @@ class TestInfer:
             net.infer(rand_input(cfg, hw=40))
         with pytest.raises(ValueError, match="2 channels"):
             net.infer(Tensor(np.zeros((1, 2, 16, 16), dtype=np.float32)))
+
+
+class TestConvBnReluUnit:
+    """A training unit keeps no ReLU mask: backward recomputes it from BN's
+    xhat, and it must be forward's `out > 0` bit for bit."""
+
+    @staticmethod
+    def unit_with_zero_outputs(dtype, seed=7):
+        """Channel 0 has a zero kernel and beta 0, so xhat = 0 and every
+        output is exactly 0; channel 1 has a zero kernel and beta 0.5; the
+        others are random with random gamma and beta."""
+        rng = np.random.default_rng(seed)
+        unit = _ConvBnRelu("u", ConvSpec(3, 6), rng, dtype)
+        unit.conv.kernel.value[:2] = 0.0
+        unit.gamma.value[:] = rng.standard_normal(6)
+        unit.beta.value[:] = rng.standard_normal(6)
+        unit.beta.value[:2] = (0.0, 0.5)
+        x = Tensor(rng.standard_normal((2, 3, 8, 8)).astype(dtype))
+        return unit, x
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_recomputed_mask_equals_forward_mask(self, dtype, mode):
+        unit, x = self.unit_with_zero_outputs(dtype)
+        unit.forward(Tensor(x.data * 2.0 + 1.0), "train")  # running statistics for infer
+        out = unit.forward(x, mode).data.copy()
+        assert np.all(out[:, 0] == 0) and np.all(out[:, 1] == 0.5)
+        assert (out > 0).any() and (out[:, 2:] == 0).any()
+        assert np.array_equal(unit._relu_mask(), out > 0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_equals_relu_batchnorm_conv_backward(self, dtype):
+        """The unit's gradients are those of relu_backward on forward's
+        mask, then batchnorm_backward, then the conv's backward."""
+        unit, x = self.unit_with_zero_outputs(dtype)
+        out = unit.forward(x, "train").data.copy()
+        g = Tensor(np.random.default_rng(8).standard_normal(out.shape).astype(dtype))
+        results = []
+        for reference in (False, True):
+            for p in unit.parameters().values():
+                p.zero_grad()
+            if reference:
+                gr = ops.relu_backward(g, out > 0)
+                gr = ops.batchnorm_backward(gr, unit._bn_cache, unit.gamma, unit.beta)
+                gx = unit.conv.backward(gr)
+            else:
+                gx = unit.backward(g)
+            results.append([gx.data] + [p.grad.copy() for p in unit.parameters().values()])
+        for got, expected in zip(*results):
+            assert np.array_equal(got, expected)
 
 
 class TestDescribe:

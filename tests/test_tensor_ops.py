@@ -448,6 +448,127 @@ class TestBatchNorm:
         assert np.array_equal(h.transpose(1, 0, 2, 3), expected.data)
 
 
+def channel_major(x: np.ndarray) -> Tensor:
+    """A Tensor of x's values whose memory is channel-major: the (1, 0, 2, 3)
+    transpose of a contiguous (C, N, H, W) array."""
+    return Tensor(np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3))
+
+
+def assert_close(a, b):
+    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+
+class TestLayouts:
+    """Every op gives the same results on a C-contiguous NCHW input and on
+    a channel-major view of the same values, for any mix of layouts
+    between the input and the upstream gradient."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        geometry=st.sampled_from([(1, 1), (1, 2), (2, 1)]),  # (stride, dilation)
+        k=st.sampled_from([1, 3]),
+        n=st.integers(1, 3),
+        channels=st.sampled_from([(1, 2), (3, 1), (2, 5), (20, 3)]),
+        h=st.integers(1, 7),
+        w=st.integers(1, 7),
+        grad_layout=st.sampled_from(["nchw", "channel-major"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_conv2d(self, geometry, k, n, channels, h, w, grad_layout, seed):
+        stride, dilation = geometry
+        c, oc = channels
+        spec = ConvSpec(c, oc, kernel=k, stride=stride, dilation=dilation)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, c, h, w))
+        g = rng.standard_normal((n, oc, *spec.out_spatial(h, w)))
+        kernel0, bias0 = rng.standard_normal((oc, c, k, k)), rng.standard_normal(oc)
+        results = []
+        for layout in (Tensor, channel_major):
+            kernel, bias = make_conv(spec, kernel0, bias0)
+            y, cache = ops.conv2d_forward(layout(x), spec, kernel, bias)
+            gt = Tensor(g) if grad_layout == "nchw" else channel_major(g)
+            gx = ops.conv2d_backward(gt, cache, spec, kernel, bias)
+            results.append((y.data, gx.data, kernel.grad, bias.grad))
+        for a, b in zip(*results):
+            assert_close(a, b)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        mode=st.sampled_from(["train", "infer"]),
+        n=st.integers(1, 3),
+        c=st.integers(1, 4),
+        h=st.integers(1, 6),
+        w=st.integers(1, 6),
+        grad_layout=st.sampled_from(["nchw", "channel-major"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_batchnorm(self, mode, n, c, h, w, grad_layout, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, c, h, w)) * 2.0 + 1.0
+        g = rng.standard_normal((n, c, h, w))
+        gamma0, beta0 = rng.standard_normal(c), rng.standard_normal(c)
+        results = []
+        for layout in (Tensor, channel_major):
+            gamma = Parameter(gamma0.copy(), "bn-gamma")
+            beta = Parameter(beta0.copy(), "bn-beta")
+            state = ops.BatchNormState.create(c, dtype=np.float64)
+            ops.batchnorm_forward(Tensor(x * 0.5 - 1.0), gamma, beta, state, "train")
+            y, cache = ops.batchnorm_forward(layout(x), gamma, beta, state, mode)
+            gt = Tensor(g) if grad_layout == "nchw" else channel_major(g)
+            gx = ops.batchnorm_backward(gt, cache, gamma, beta)
+            results.append((y.data, gx.data, gamma.grad, beta.grad,
+                            state.running_mean, state.running_var))
+        for a, b in zip(*results):
+            assert_close(a, b)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        c=st.integers(1, 4),
+        h=st.integers(1, 6),
+        w=st.integers(1, 6),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bilinear_upsample(self, n, c, h, w, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, c, h, w))
+        g = rng.standard_normal((n, c, 2 * h, 2 * w))
+        results = []
+        for layout in (Tensor, channel_major):
+            y, cache = ops.bilinear_upsample_2x_forward(layout(x))
+            gx = ops.bilinear_upsample_2x_backward(layout(g), cache)
+            results.append((y.data, gx.data))
+        for a, b in zip(*results):
+            assert_close(a, b)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        channels=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+        layouts=st.lists(st.booleans(), min_size=4, max_size=4),
+        h=st.integers(1, 5),
+        w=st.integers(1, 5),
+        seed=st.integers(0, 2**16),
+    )
+    def test_concat(self, n, channels, layouts, h, w, seed):
+        """Inputs of mixed layouts stack like C-contiguous ones; the
+        gradient pieces are the channels of the upstream gradient."""
+        rng = np.random.default_rng(seed)
+        xs = [rng.standard_normal((n, c, h, w)) for c in channels]
+        g = rng.standard_normal((n, sum(channels), h, w))
+        expected = np.concatenate(xs, axis=1)
+        for chosen in ([Tensor] * len(xs),
+                       [channel_major if cm else Tensor for cm in layouts[: len(xs)]]):
+            y, cache = ops.concat_channels_forward([f(x) for f, x in zip(chosen, xs)])
+            assert_close(y.data, expected)
+            for layout in (Tensor, channel_major):
+                pieces = ops.concat_channels_backward(layout(g), cache)
+                start = 0
+                for piece, c in zip(pieces, channels):
+                    assert_close(piece.data, g[:, start : start + c])
+                    start += c
+
+
 class TestActivations:
     def test_relu_values(self):
         y, _ = ops.relu_forward(Tensor(np.array([[[[-1.0, 2.5]]]])))
