@@ -80,12 +80,15 @@ def _load_binary_mask_stack(path: Path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    cfg = SynthConfig(
-        seed=args.seed if args.seed is not None else 0,
-        size=args.size,
-        n_slices=args.slices,
-        classes=tuple(args.classes.split(",")),
-    )
+    try:
+        cfg = SynthConfig(
+            seed=args.seed if args.seed is not None else 0,
+            size=args.size,
+            n_slices=args.slices,
+            classes=tuple(args.classes.split(",")),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"synth: {exc}") from exc
     paths = write_dataset(cfg, args.out_dir)
     for name, p in paths.items():
         print(f"{name}: {p}")

@@ -152,10 +152,21 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
     return RunConfig(**merged)
 
 
+# characters a `key = value` line cannot carry: "#" starts a comment and
+# a line break starts a new line, so a value holding one would be cut off
+# or would set further keys
+_UNCARRIED = ("#", "\n", "\r")
+
+
 def set_value(cfg: RunConfig, dotted: str, value: str) -> RunConfig:
     """Apply one `section.key=value` override (the --set flag)."""
     if "." not in dotted:
         raise ConfigError(f"--set expects section.key, got {dotted!r}")
+    if any(ch in dotted + value for ch in _UNCARRIED):
+        raise ConfigError(
+            f"{dotted}={value!r}: a config value cannot contain '#', a newline "
+            "or a carriage return"
+        )
     section, _, key = dotted.partition(".")
     return parse_config(f"[{section}]\n{key} = {value}\n", base=cfg)
 

@@ -78,20 +78,45 @@ logger = logging.getLogger(__name__)
 # copied into the rows of one block-sized operand; the single-channel
 # input conv runs all nine taps as one GEMM of depth 9. Layers with
 # C >= _MIN_GEMM_DEPTH read their input in place. An inner dimension of 1
-# that remains (one live tap on one channel, or the input gradient of a
-# single-output conv) runs as a broadcast multiply.
+# that remains (one live tap on one channel, or the layout gradient of a
+# single-output 1x1 conv) runs as a broadcast multiply.
+#
+# The backward is the output-gradient form of im2col (Chetlur et al.,
+# "cuDNN: Efficient primitives for deep learning", 2014) on this layout.
+# Layout column p of phase (a, b) meets output grid column p - off of
+# every live tap of that phase. So the output gradient g, zero-extended
+# onto the grid and given a zero margin of the largest offset in front,
+# is copied once per phase and block of layout columns into a shifted
+# stack S, whose row block t is g[:, p - off_t] for the phase's t-th
+# live tap. Two GEMMs on S give both gradients of all the phase's taps:
+# the kernel gradients K_t += S_t @ phase[:, block].T, one GEMM with
+# output (taps*OC, C), and the layout gradient [K_t.T ...] @ S, written
+# straight into the block. S has taps*OC rows, and its blocks are cut
+# narrower than _BLOCK_COLS where needed to hold at most _STACK_ELEMS
+# values (4 MB at float32), so it stays a small transient.
 #
 # The grid columns run on to a whole multiple of _COL_QUANTUM (the extra
-# columns read zeros and are cropped), so that every block but a forced
-# odd _BLOCK_COLS is a multiple of it. The kernel gradient's GEMMs reduce
-# over a block's columns, and OpenBLAS splits such a long reduction into
-# panels differently with one thread than with several unless its length
-# is a multiple of 64: measured on OpenBLAS 0.3.31, reductions of 500,
-# 962 or 4097 give bits that depend on OPENBLAS_NUM_THREADS, and every
-# multiple of 64 up to 4160 does not.
+# columns read zeros and are cropped). The backward's blocks are whole
+# multiples of it too, the last one zero-extended to the next multiple,
+# so that every column count the kernel gradient's GEMM reduces over is
+# one. OpenBLAS splits such a long reduction into panels differently
+# with one thread than with several unless its length is a multiple of
+# 64: measured on OpenBLAS 0.3.31, reductions of 500, 962 or 4097 give
+# bits that depend on OPENBLAS_NUM_THREADS, and every multiple of 64 up
+# to 4160 does not. The layout length itself is not rounded, so the
+# forward's layout and its row pitch do not depend on the backward: with
+# the length rounded to a multiple of 64, the forward-only predict-512
+# benchmark read 5% slower in 9 of 10 pairs (2-core Xeon, OpenBLAS
+# 0.3.31).
 _BLOCK_COLS = 4096
 _COL_QUANTUM = 64
 _MIN_GEMM_DEPTH = 16
+_STACK_ELEMS = 1 << 20
+
+
+def _quantize(cols: int) -> int:
+    """cols rounded up to a whole multiple of _COL_QUANTUM."""
+    return -(-cols // _COL_QUANTUM) * _COL_QUANTUM
 
 
 class _Tap(NamedTuple):
@@ -219,7 +244,7 @@ def _tap_layout(sources: list[np.ndarray], spec: ConvSpec, kernel: np.ndarray) -
     ]
     dtype = np.result_type(*sources, kernel)
     last = (n - 1) * hr * wr + (oh - 1) * wr + ow  # one past the last output pixel
-    m = -(-last // _COL_QUANTUM) * _COL_QUANTUM
+    m = _quantize(last)
     length = max(n * hr * wr, m + max(t.off for t in taps))  # the tap slices end by m + off
     layout = np.zeros((s, s, c, length), dtype=dtype)
     cache = Conv2dCache(layout, (n, c, h, w), (oh, ow), rows, cols, taps, m)
@@ -301,18 +326,20 @@ def conv2d_backward(
 ) -> Tensor:
     """Gradient wrt the conv input; accumulates kernel.grad and bias.grad.
 
-    The forward's tap loop run backwards over the same slices and blocks.
-    grad_out is zero-extended onto the output grid as g (OC, N*Hr*Wr), so
-    the cropped grid columns contribute nothing; per live tap group and
-    block, with slice the group's operand:
+    The shifted-stack backward described above: grad_out is zero-extended
+    onto the output grid, so the cropped grid columns contribute nothing,
+    and per tap-layout phase and block of layout columns it is copied
+    once into the stack S of the phase's live taps; then
 
-    - kernel gradient of the group += g[:, block] @ slice.T;
-    - the layout gradient at the slice += K_group.T @ g[:, block].
+    - kernel gradients of the phase's taps += S @ phase[:, block].T;
+    - the layout gradient of the block = K_stack.T @ S, written in place.
 
-    The input gradient is the layout gradient read back out of its phases,
-    which drops the padding, into a channel-major Tensor. Skipped (dead)
-    taps read only zeros, so their kernel gradient is 0 and their input
-    gradient lands in the padding.
+    Every block holds a multiple of _COL_QUANTUM columns (the last one
+    zero-extended), so the bits do not depend on the BLAS thread count.
+    The input gradient is the layout gradient read back out of its
+    phases, which drops the padding, into a channel-major Tensor. Skipped
+    (dead) taps read only zeros, so their kernel gradient is 0 and their
+    input gradient lands in the padding.
     """
     if cache is None:
         raise ValueError("conv2d_backward requires the forward cache (run forward first)")
@@ -328,28 +355,40 @@ def conv2d_backward(
         bias.add_grad(g.sum(axis=(0, 2, 3)))
 
     layout = cache.padded
+    s, _, _, length = layout.shape
     dtype = layout.dtype
-    oc, hr, wr, m = spec.out_channels, cache.rows.pitch, cache.cols.pitch, cache.grid_cols
-    gext = np.zeros((oc, max(m, n * hr * wr)), dtype=dtype)
-    gext[:, : n * hr * wr].reshape(oc, n, hr, wr)[:, :, :oh, :ow] = g.transpose(1, 0, 2, 3)
-    width = min(_BLOCK_COLS, m)
-    groups, buf = _tap_groups(cache, kernel.value, width)
-    gk_groups = [np.zeros_like(kmat, dtype=dtype) for _, kmat in groups]
+    oc, hr, wr = spec.out_channels, cache.rows.pitch, cache.cols.pitch
+    margin = max(t.off for t in cache.taps)
+    gz = np.zeros((oc, margin + length + _COL_QUANTUM), dtype=dtype)  # + a block's zero extension
+    gz[:, margin : margin + n * hr * wr].reshape(oc, n, hr, wr)[:, :, :oh, :ow] = (
+        g.transpose(1, 0, 2, 3))
+    phases = [[t for t in cache.taps if (t.a, t.b) == (a, b)] for a in range(s) for b in range(s)]
+    stack_rows = oc * max(len(taps) for taps in phases)
+    width = min(_BLOCK_COLS, length,
+                max(_COL_QUANTUM, _STACK_ELEMS // stack_rows // _COL_QUANTUM * _COL_QUANTUM))
+    stack = np.empty((stack_rows, _quantize(width)), dtype=dtype)
     glayout = np.zeros_like(layout)
-    tmp = np.empty((len(groups[0][0]) * c, width), dtype=dtype)
-    for m0 in range(0, m, _BLOCK_COLS):
-        m1 = min(m, m0 + _BLOCK_COLS)
-        gb = gext[:, m0:m1]
-        for (group, kmat), gk in zip(groups, gk_groups):
-            gk += gb @ _operand(layout, group, m0, m1, buf).T
-            t = tmp[: len(group) * c, : m1 - m0]
-            _matmul(kmat.T, gb, t)
-            for r, tap in enumerate(group):
-                glayout[tap.a, tap.b, :, tap.off + m0 : tap.off + m1] += t[r * c : (r + 1) * c]
     gkernel = np.zeros_like(kernel.value)
-    for (group, _), gk in zip(groups, gk_groups):
-        for r, tap in enumerate(group):
-            gkernel[:, :, tap.i, tap.j] = gk[:, r * c : (r + 1) * c]
+    for taps in phases:
+        if not taps:
+            continue  # the phase's layout gradient stays 0
+        a, b = taps[0].a, taps[0].b
+        kstack = np.concatenate([kernel.value[:, :, t.i, t.j] for t in taps])
+        gk = np.zeros_like(kstack, dtype=dtype)
+        for m0 in range(0, length, width):
+            m1 = min(length, m0 + width)
+            cols = _quantize(m1 - m0)
+            shifted = stack[: len(taps) * oc, :cols]
+            for r, t in enumerate(taps):
+                g0 = margin - t.off + m0
+                shifted[r * oc : (r + 1) * oc] = gz[:, g0 : g0 + cols]
+            x = layout[a, b, :, m0:m1]
+            if cols > m1 - m0:  # the last block, zero-extended to the reduction length
+                x = np.pad(x, ((0, 0), (0, cols - (m1 - m0))))
+            gk += shifted @ x.T
+            _matmul(kstack.T, shifted[:, : m1 - m0], glayout[a, b, :, m0:m1])
+        for r, t in enumerate(taps):
+            gkernel[:, :, t.i, t.j] = gk[r * oc : (r + 1) * oc]
     kernel.add_grad(gkernel)
     gx = np.empty((c, n, h, w), dtype=dtype)
     for dst, view in _phase_views(glayout, cache):

@@ -23,13 +23,13 @@ NOISE_SIGMA = 10.0   # std of the Gaussian background noise, in int8 grey levels
 @dataclass
 class SynthConfig:
     seed: int = 0
-    size: int = 128          # square slice extent, must be divisible by 16
+    size: int = 128          # square slice extent, a positive multiple of 16
     n_slices: int = 8
     classes: tuple[str, ...] = DEFAULT_CLASSES
 
     def __post_init__(self) -> None:
-        if self.size % 16:
-            raise ValueError(f"size must be divisible by 16, got {self.size}")
+        if self.size < 16 or self.size % 16:
+            raise ValueError(f"size must be positive and divisible by 16, got {self.size}")
         if self.n_slices < 1:
             raise ValueError("n_slices must be >= 1")
         unknown = [c for c in self.classes if c not in DEFAULT_CLASSES]

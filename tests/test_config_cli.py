@@ -56,6 +56,25 @@ REMOVED_KEYS = [
     ("train", "checkpoint_path", "elsewhere.ckpt"),
 ]
 
+# values the `key = value` line format cannot carry: used to be cut off at
+# "#" or to set further keys after a line break
+UNCARRIED_SETTINGS = [
+    ("paths.out_dir", "runs/#3"),
+    ("paths.checkpoint", "a/b#c.ckpt"),
+    ("paths.volume", "v.mrc\n[train]\nepochs = 1"),
+    ("paths.volume", "v.mrc\repochs = 1"),
+]
+
+# malformed `seget synth` arguments: used to exit 3, or to crash in
+# generate after making the output directory
+BAD_SYNTH_ARGS = [
+    ["--slices", "0"],
+    ["--size", "20"],
+    ["--size", "0"],
+    ["--size", "-16"],
+    ["--classes", "foo"],
+]
+
 # thresholds predict and fuse refuse, as train does
 BAD_THRESHOLDS = ["1.5", "1", "0", "-0.1", "nan", "inf"]
 
@@ -136,6 +155,12 @@ class TestConfigFormat:
         assert cfg.train.seed == 42
         with pytest.raises(ConfigError):
             set_value(RunConfig(), "train", "42")
+
+    @pytest.mark.parametrize("dotted,value", UNCARRIED_SETTINGS)
+    def test_set_value_refuses_what_a_line_cannot_carry(self, dotted, value):
+        """A "#" would cut the value off, a line break would set further keys."""
+        with pytest.raises(ConfigError, match="cannot contain"):
+            set_value(RunConfig(), dotted, value)
 
 
 class TestPresets:
@@ -273,6 +298,28 @@ class TestCliTrain:
         assert rc == 1
         assert not out.exists()
 
+    def test_out_dir_with_hash_exits_1_before_writing(self, synth_dir, tmp_path, capsys):
+        rc = cli.main(["train", "--volume", str(synth_dir / "volume.mrc"),
+                       "--mask", str(synth_dir / "mask_blob.mrc"),
+                       "--out-dir", str(tmp_path / "runs" / "#3"), *TRAIN_OVERRIDES])
+        assert rc == 1
+        assert "cannot contain" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("setting", [
+        "paths.checkpoint=a/b#c.ckpt",
+        "paths.volume=v.mrc\n[train]\nepochs = 1",
+    ])
+    def test_set_value_a_line_cannot_carry_exits_1_before_writing(self, synth_dir, tmp_path,
+                                                                  setting, capsys):
+        out = tmp_path / "run"
+        rc = cli.main(["train", "--volume", str(synth_dir / "volume.mrc"),
+                       "--mask", str(synth_dir / "mask_blob.mrc"), "--out-dir", str(out),
+                       *TRAIN_OVERRIDES, "--set", setting])
+        assert rc == 1
+        assert "cannot contain" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_window_the_network_cannot_take_exits_2_before_writing(self, synth_dir, tmp_path):
         out = tmp_path / "run"
         rc = cli.main(["train", "--volume", str(synth_dir / "volume.mrc"),
@@ -314,6 +361,15 @@ def nan_volume(synth_dir, tmp_path):
     path = tmp_path / "nan.mrc"
     path.write_bytes(bytes(header) + data.tobytes())
     return path
+
+
+class TestCliSynth:
+    @pytest.mark.parametrize("args", BAD_SYNTH_ARGS, ids="=".join)
+    def test_bad_arguments_exit_1_before_writing(self, tmp_path, args, capsys):
+        out = tmp_path / "data"
+        assert cli.main(["synth", *args, "--out-dir", str(out)]) == 1
+        assert "config error: synth:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCliPredict:

@@ -65,3 +65,9 @@ def test_mrc_bytes_header_words():
 def test_geometry_must_divide_16():
     with pytest.raises(ValueError, match="divisible by 16"):
         SynthConfig(size=100)
+
+
+@pytest.mark.parametrize("size", [0, -16])
+def test_size_must_be_positive(size):
+    with pytest.raises(ValueError, match="positive"):
+        SynthConfig(size=size)

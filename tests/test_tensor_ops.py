@@ -275,15 +275,14 @@ class TestConv2dBackward:
         w=st.integers(3, 9),
         with_bias=st.booleans(),
         block_cols=st.sampled_from([1, 40, ops._BLOCK_COLS]),
-        gemm_depth=st.sampled_from([1, ops._MIN_GEMM_DEPTH]),
         seed=st.integers(0, 2**16),
     )
     def test_matches_naive_oracle(self, geometry, k, n, channels, h, w, with_bias,
-                                  block_cols, gemm_depth, seed):
+                                  block_cols, seed):
         """Input gradient is the adjoint of the oracle conv; kernel gradient
         matches the oracle on one-hot kernels; bias gradient sums grad_out.
-        block_cols forces single-column, mixed and whole-grid blocks;
-        gemm_depth 1 runs every tap as its own GEMM."""
+        block_cols forces single-column, mixed and whole-layout blocks of
+        the shifted-gradient stack."""
         stride, dilation = geometry
         c, oc = channels
         spec = ConvSpec(c, oc, kernel=k, stride=stride, dilation=dilation)
@@ -296,8 +295,7 @@ class TestConv2dBackward:
         k32 = Parameter(kv.astype(np.float32), "conv-kernel", regularized=True)
         _, cache32 = ops.conv2d_forward(Tensor(x.astype(np.float32)), spec, k32, None)
         g = rng.standard_normal(y.shape)
-        with mock.patch.object(ops, "_BLOCK_COLS", block_cols), \
-                mock.patch.object(ops, "_MIN_GEMM_DEPTH", gemm_depth):
+        with mock.patch.object(ops, "_BLOCK_COLS", block_cols):
             gx = ops.conv2d_backward(Tensor(g), cache, spec, kernel, bias).data
             gx32 = ops.conv2d_backward(Tensor(g.astype(np.float32)), cache32, spec, k32, None).data
 
@@ -331,8 +329,13 @@ from seget.tensor import ConvSpec, Parameter, Tensor
 rng = np.random.default_rng(0)
 digest = hashlib.sha256()
 for spec, shape in [(ConvSpec(80, 32), (12, 80, 8, 8)), (ConvSpec(48, 16), (12, 48, 16, 16)),
-                    (ConvSpec(8, 16, stride=2), (12, 8, 32, 32)), (ConvSpec(1, 16), (12, 1, 32, 32))]:
-    kernel = Parameter(rng.standard_normal((spec.out_channels, spec.in_channels, 3, 3))
+                    (ConvSpec(8, 16, stride=2), (12, 8, 32, 32)), (ConvSpec(1, 16), (12, 1, 32, 32)),
+                    (ConvSpec(32, 16, dilation=4), (12, 32, 8, 8)),
+                    (ConvSpec(32, 16, dilation=8), (12, 32, 8, 8)),
+                    (ConvSpec(16, 32), (12, 16, 16, 16)),
+                    (ConvSpec(16, 1, kernel=1), (12, 16, 32, 32))]:
+    k = spec.kernel
+    kernel = Parameter(rng.standard_normal((spec.out_channels, spec.in_channels, k, k))
                        .astype(np.float32), "conv-kernel", regularized=True)
     y, cache = ops.conv2d_forward(Tensor(rng.standard_normal(shape).astype(np.float32)),
                                   spec, kernel, None)
@@ -347,7 +350,11 @@ print(digest.hexdigest())
 def test_conv_bits_independent_of_blas_threads():
     """Forward, input and kernel gradients are bit-identical with one and
     two OpenBLAS threads, on layers whose grid columns are not a multiple
-    of 64, so a training run does not depend on the thread count."""
+    of 64, so a training run does not depend on the thread count. The
+    probe covers dilated convs on an 8x8 map (dilation 4: all nine taps
+    live behind a wide zero margin; dilation 8: one live tap), OC > C,
+    and the single-output 1x1 conv, whose shifted-gradient stacks differ
+    in shape."""
     src = str(Path(ops.__file__).resolve().parents[1])
     digests = []
     for threads in ("1", "2"):
