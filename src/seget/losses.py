@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .ops import sigmoid, sigmoid_backward, sigmoid_forward
+from .ops import sigmoid, sigmoid_backward
 from .tensor import Parameter, Tensor
 
 # s in the Jaccard distance, added to its numerator and denominator
@@ -48,23 +48,17 @@ def _require_binary(t: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be binary (0/1)")
 
 
-def bce_stable(
-    logits: Tensor, targets: Tensor, weights: Tensor | None = None
-) -> tuple[float, Tensor]:
-    """Stabilized BCE, finite for |logit| up to 1e4 and beyond.
-
-    Returns (loss, grad wrt logits). The loss is the mean over pixels;
-    with weights it is the weighted mean sum(w*l)/sum(w), so all-ones
-    weights reduce exactly to the plain mean. The gradient is
-    (sigmoid(y) - t), weighted and normalized identically.
-    """
-    y = logits.data
-    t = targets.data
+def _check_targets(y: np.ndarray, t: np.ndarray) -> None:
     if y.shape != t.shape:
         raise ValueError(f"logits shape {y.shape} != targets shape {t.shape}")
     _require_binary(t, "targets")
+
+
+def _bce(y: np.ndarray, t: np.ndarray, s: np.ndarray,
+         weights: Tensor | None) -> tuple[float, Tensor]:
+    """bce_stable on checked arrays, given s = sigmoid(y)."""
     per_pixel = np.maximum(y, 0.0) - y * t + np.log1p(np.exp(-np.abs(y)))
-    grad = sigmoid(y) - t
+    grad = s - t
     if weights is None:
         loss = float(per_pixel.mean())
         grad = grad / y.size
@@ -76,6 +70,21 @@ def bce_stable(
         loss = float((w * per_pixel).sum() / wsum)
         grad = grad * w / wsum
     return loss, Tensor(grad)
+
+
+def bce_stable(
+    logits: Tensor, targets: Tensor, weights: Tensor | None = None
+) -> tuple[float, Tensor]:
+    """Stabilized BCE, finite for |logit| up to 1e4 and beyond.
+
+    Returns (loss, grad wrt logits). The loss is the mean over pixels;
+    with weights it is the weighted mean sum(w*l)/sum(w), so all-ones
+    weights reduce exactly to the plain mean. The gradient is
+    (sigmoid(y) - t), weighted and normalized identically.
+    """
+    y, t = logits.data, targets.data
+    _check_targets(y, t)
+    return _bce(y, t, sigmoid(y), weights)
 
 
 def jaccard_distance_loss(probs: Tensor, targets: Tensor) -> tuple[float, Tensor]:
@@ -109,14 +118,17 @@ def combined_loss(
 ) -> tuple[float, Tensor]:
     """L_b + L_j + lambda*psi(W); returns (loss, grad wrt logits).
 
-    The Jaccard gradient is chained through the sigmoid operator's own
+    The sigmoid is computed once: BCE's gradient reads it, and the
+    Jaccard gradient is chained through the sigmoid operator's own
     backward. The lambda term adds lambda*w onto each regularized
     parameter's grad buffer as a side effect, matching how the network's
     backward accumulates.
     """
-    bce, grad_bce = bce_stable(logits, targets, weights)
-    probs, s = sigmoid_forward(logits)
-    jac, grad_jac = jaccard_distance_loss(probs, targets)
+    y, t = logits.data, targets.data
+    _check_targets(y, t)
+    s = sigmoid(y)
+    bce, grad_bce = _bce(y, t, s, weights)
+    jac, grad_jac = jaccard_distance_loss(Tensor(s), targets)
     grad = grad_bce.data + sigmoid_backward(grad_jac, s).data
     total = bce + jac
     if cfg.l2_lambda > 0:

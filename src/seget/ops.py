@@ -27,6 +27,7 @@ the same order, in place.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -68,8 +69,20 @@ logger = logging.getLogger(__name__)
 # A tap whose window lies wholly in the zero padding reads only zeros, so
 # it is skipped in both directions; this is exact, and it leaves the
 # dilation-8 branch on an 8x8 map one tap of nine. The M columns go in
-# blocks of _BLOCK_COLS, one temporary reused per block, so the operands
-# of a block stay in cache.
+# blocks of _BLOCK_COLS, so the operands of a block stay in cache. The
+# first tap group of a block writes the output grid's block through
+# out=, the others go through one temporary reused per block and add to
+# it; only grid columns past M (cropped, never written) are zeroed.
+#
+# All of this geometry (pitches, phase spans, live taps and their kernel
+# indices per phase, M and the layout length) depends only on the input
+# shape and the ConvSpec, so _geometry computes it once per shape and
+# caches it. The cached values are immutable, tuples and read-only index
+# arrays, so separate networks may share them across threads. The layout
+# itself stays one zero-filled allocation: zeroing only the padding
+# strips of an uninitialised one (strided writes of 1-8 columns per row)
+# measured no faster per training step, at base 4 on 64^2 or at base 16
+# on 128^2 (2-core Xeon, one BLAS thread).
 #
 # Narrow inputs: with C channels a tap GEMM has inner dimension C, and
 # below _MIN_GEMM_DEPTH that is too shallow for BLAS (at C = 1 np.matmul
@@ -93,7 +106,12 @@ logger = logging.getLogger(__name__)
 # output (taps*OC, C), and the layout gradient [K_t.T ...] @ S, written
 # straight into the block. S has taps*OC rows, and its blocks are cut
 # narrower than _BLOCK_COLS where needed to hold at most _STACK_ELEMS
-# values (4 MB at float32), so it stays a small transient.
+# values (4 MB at float32), so it stays a small transient. Those writes
+# cover every column of a phase that has a live tap, so the layout
+# gradient is allocated uninitialised and only phases no tap reads are
+# zeroed. With stride 1 the input pixels sit in the one phase at fixed
+# pitches, so the input gradient is a channel-major view of the layout
+# gradient; with stride 2 they are gathered out of the four phases.
 #
 # The grid columns run on to a whole multiple of _COL_QUANTUM (the extra
 # columns read zeros and are cropped). The backward's blocks are whole
@@ -132,6 +150,24 @@ class _AxisLayout(NamedTuple):
     spans: tuple[tuple[int, int, int], ...]  # per phase: first input index, its phase index, count
 
 
+class _Phase(NamedTuple):
+    a: int
+    b: int
+    taps: tuple[_Tap, ...]  # the live taps that read this phase
+    ij: np.ndarray          # their kernel indices: rows i and j, read-only (2, taps)
+
+
+class _Geometry(NamedTuple):
+    out_spatial: tuple[int, int]
+    rows: _AxisLayout
+    cols: _AxisLayout
+    taps: tuple[_Tap, ...]      # live taps only, in kernel order
+    ij: np.ndarray              # their kernel indices, read-only (2, taps)
+    phases: tuple[_Phase, ...]  # all s*s phases, row-major
+    grid_cols: int              # columns the tap GEMMs span, a multiple of _COL_QUANTUM
+    length: int                 # layout columns per phase
+
+
 @dataclass
 class Conv2dCache:
     padded: np.ndarray            # zero-padded input in the tap layout, (s, s, C, L)
@@ -139,7 +175,7 @@ class Conv2dCache:
     out_spatial: tuple[int, int]
     rows: _AxisLayout
     cols: _AxisLayout
-    taps: list[_Tap]              # live taps only
+    taps: tuple[_Tap, ...]        # live taps only
     grid_cols: int                # columns the tap GEMMs span, a multiple of _COL_QUANTUM
 
 
@@ -170,30 +206,64 @@ def _live(k: int, d: int, s: int, out: int, pad: int, extent: int) -> list[int]:
     return [t for t in range(k) if pad <= t * d + (out - 1) * s and t * d < pad + extent]
 
 
-def _phase_views(layout: np.ndarray, cache: Conv2dCache):
+def _kernel_index(taps: tuple[_Tap, ...]) -> np.ndarray:
+    ij = np.array([[t.i for t in taps], [t.j for t in taps]], dtype=np.intp).reshape(2, -1)
+    ij.flags.writeable = False
+    return ij
+
+
+@functools.lru_cache(maxsize=256)
+def _geometry(n: int, h: int, w: int, spec: ConvSpec) -> _Geometry:
+    """The geometry of the tap loop for one input shape, computed once."""
+    oh, ow, pt, pb, pl, pr = _same_padding(h, w, spec)
+    k, s, d = spec.kernel, spec.stride, spec.dilation
+    rows = _axis_layout(h, pt, pb, s, oh)
+    cols = _axis_layout(w, pl, pr, s, ow)
+    hr, wr = rows.pitch, cols.pitch
+    taps = tuple(
+        _Tap(i, j, i * d % s, j * d % s, i * d // s * wr + j * d // s)
+        for i in _live(k, d, s, oh, pt, h)
+        for j in _live(k, d, s, ow, pl, w)
+    )
+    phases = []
+    for a in range(s):
+        for b in range(s):
+            own = tuple(t for t in taps if (t.a, t.b) == (a, b))
+            phases.append(_Phase(a, b, own, _kernel_index(own)))
+    last = (n - 1) * hr * wr + (oh - 1) * wr + ow  # one past the last output pixel
+    m = _quantize(last)
+    length = max(n * hr * wr, m + max(t.off for t in taps))  # the tap slices end by m + off
+    return _Geometry((oh, ow), rows, cols, taps, _kernel_index(taps), tuple(phases), m, length)
+
+
+def _phase_views(layout: np.ndarray, n: int, geo: _Geometry):
     """(input index, layout view) per phase: x[:, :, rows, cols] sits at view."""
     s, _, c, _ = layout.shape
-    n = cache.input_shape[0]
-    hr, wr = cache.rows.pitch, cache.cols.pitch
-    for a, (r0, y0, ny) in enumerate(cache.rows.spans):
-        for b, (c0, x0, nx) in enumerate(cache.cols.spans):
+    hr, wr = geo.rows.pitch, geo.cols.pitch
+    for a, (r0, y0, ny) in enumerate(geo.rows.spans):
+        for b, (c0, x0, nx) in enumerate(geo.cols.spans):
             grid = layout[a, b, :, : n * hr * wr].reshape(c, n, hr, wr)
             yield (slice(r0, None, s), slice(c0, None, s)), grid[:, :, y0 : y0 + ny, x0 : x0 + nx]
 
 
-def _tap_groups(cache: Conv2dCache, kernel: np.ndarray,
-                width: int) -> tuple[list[tuple[list[_Tap], np.ndarray]], np.ndarray | None]:
+def _tap_groups(geo: _Geometry, kernel: np.ndarray, width: int, dtype: np.dtype
+                ) -> tuple[list[tuple[tuple[_Tap, ...], np.ndarray]], np.ndarray | None]:
     """Live taps in GEMMs of depth >= _MIN_GEMM_DEPTH where the channels
     allow, each with its kernel matrix (OC, taps*C), plus the operand
     buffer that groups of more than one tap copy their slices into."""
-    c = cache.input_shape[1]
+    oc, c = kernel.shape[:2]
     size = -(-_MIN_GEMM_DEPTH // c)
-    groups = [cache.taps[t : t + size] for t in range(0, len(cache.taps), size)]
-    buf = np.empty((len(groups[0]) * c, width), dtype=cache.padded.dtype) if size > 1 else None
-    return [(g, np.concatenate([kernel[:, :, t.i, t.j] for t in g], axis=1)) for g in groups], buf
+    groups = []
+    for t0 in range(0, len(geo.taps), size):
+        i, j = geo.ij[:, t0 : t0 + size]
+        kmat = kernel[:, :, i, j].transpose(0, 2, 1).reshape(oc, -1)
+        groups.append((geo.taps[t0 : t0 + size], kmat))
+    depth = len(groups[0][0]) * c
+    buf = np.empty((depth, width), dtype=dtype) if depth > c else None
+    return groups, buf
 
 
-def _operand(layout: np.ndarray, taps: list[_Tap], m0: int, m1: int,
+def _operand(layout: np.ndarray, taps: tuple[_Tap, ...], m0: int, m1: int,
              buf: np.ndarray | None) -> np.ndarray:
     """The (taps*C, m1-m0) GEMM operand of a tap group for one block: a
     view into the layout for a single tap, else its slices copied into buf."""
@@ -216,7 +286,8 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
         np.matmul(a, b, out=out)
 
 
-def _tap_layout(sources: list[np.ndarray], spec: ConvSpec, kernel: np.ndarray) -> Conv2dCache:
+def _tap_layout(sources: list[np.ndarray], spec: ConvSpec,
+                kernel: np.ndarray) -> tuple[np.ndarray, _Geometry]:
     """The conv input in the tap layout, with the geometry of the tap loop.
 
     sources are channel-major (C_k, N, H, W) arrays read as one input
@@ -232,52 +303,42 @@ def _tap_layout(sources: list[np.ndarray], spec: ConvSpec, kernel: np.ndarray) -
     expected = (spec.out_channels, spec.in_channels, spec.kernel, spec.kernel)
     if kernel.shape != expected:
         raise ValueError(f"kernel shape {kernel.shape} does not match spec {expected}")
-    oh, ow, pt, pb, pl, pr = _same_padding(h, w, spec)
-    k, s, d = spec.kernel, spec.stride, spec.dilation
-    rows = _axis_layout(h, pt, pb, s, oh)
-    cols = _axis_layout(w, pl, pr, s, ow)
-    hr, wr = rows.pitch, cols.pitch
-    taps = [
-        _Tap(i, j, i * d % s, j * d % s, i * d // s * wr + j * d // s)
-        for i in _live(k, d, s, oh, pt, h)
-        for j in _live(k, d, s, ow, pl, w)
-    ]
-    dtype = np.result_type(*sources, kernel)
-    last = (n - 1) * hr * wr + (oh - 1) * wr + ow  # one past the last output pixel
-    m = _quantize(last)
-    length = max(n * hr * wr, m + max(t.off for t in taps))  # the tap slices end by m + off
-    layout = np.zeros((s, s, c, length), dtype=dtype)
-    cache = Conv2dCache(layout, (n, c, h, w), (oh, ow), rows, cols, taps, m)
-    for src_index, view in _phase_views(layout, cache):
+    geo = _geometry(n, h, w, spec)
+    s = spec.stride
+    layout = np.zeros((s, s, c, geo.length), dtype=np.result_type(*sources, kernel))
+    for src_index, view in _phase_views(layout, n, geo):
         c0 = 0
         for src in sources:
             view[c0 : c0 + src.shape[0]] = src[(slice(None), slice(None), *src_index)]
             c0 += src.shape[0]
-    return cache
+    return layout, geo
 
 
-def _tap_gemm(cache: Conv2dCache, kernel: np.ndarray) -> np.ndarray:
+def _tap_gemm(layout: np.ndarray, n: int, geo: _Geometry, kernel: np.ndarray) -> np.ndarray:
     """The tap loop: the output grid (OC, columns), cropped by _crop."""
-    layout = cache.padded
-    n, hr, wr, m = cache.input_shape[0], cache.rows.pitch, cache.cols.pitch, cache.grid_cols
+    hr, wr, m = geo.rows.pitch, geo.cols.pitch, geo.grid_cols
     oc = kernel.shape[0]
-    out = np.zeros((oc, max(m, n * hr * wr)), dtype=layout.dtype)
+    out = np.empty((oc, max(m, n * hr * wr)), dtype=layout.dtype)
+    out[:, m:] = 0
     width = min(_BLOCK_COLS, m)
-    groups, buf = _tap_groups(cache, kernel, width)
-    tmp = np.empty((oc, width), dtype=layout.dtype)
+    groups, buf = _tap_groups(geo, kernel, width, layout.dtype)
+    (first, kfirst), *rest = groups
+    tmp = np.empty((oc, width), dtype=layout.dtype) if rest else None
     for m0 in range(0, m, _BLOCK_COLS):
         m1 = min(m, m0 + _BLOCK_COLS)
-        acc, t = out[:, m0:m1], tmp[:, : m1 - m0]
-        for group, kmat in groups:
+        acc = out[:, m0:m1]
+        _matmul(kfirst, _operand(layout, first, m0, m1, buf), acc)
+        for group, kmat in rest:
+            t = tmp[:, : m1 - m0]
             _matmul(kmat, _operand(layout, group, m0, m1, buf), t)
             acc += t
     return out
 
 
-def _crop(grid: np.ndarray, cache: Conv2dCache) -> np.ndarray:
+def _crop(grid: np.ndarray, n: int, geo: _Geometry) -> np.ndarray:
     """The output pixels of a grid, a channel-major (OC, N, OH, OW) view."""
-    n, hr, wr = cache.input_shape[0], cache.rows.pitch, cache.cols.pitch
-    oh, ow = cache.out_spatial
+    hr, wr = geo.rows.pitch, geo.cols.pitch
+    oh, ow = geo.out_spatial
     return grid[:, : n * hr * wr].reshape(-1, n, hr, wr)[:, :, :oh, :ow]
 
 
@@ -292,11 +353,14 @@ def conv2d_forward(
     the tap layout for the backward pass. The output is channel-major, a
     view of the cropped output grid.
     """
-    cache = _tap_layout([x.data.transpose(1, 0, 2, 3)], spec, kernel.value)
-    grid = _tap_gemm(cache, kernel.value)
+    layout, geo = _tap_layout([x.data.transpose(1, 0, 2, 3)], spec, kernel.value)
+    n = x.shape[0]
+    grid = _tap_gemm(layout, n, geo, kernel.value)
     if bias is not None:
         grid += bias.value[:, None]
-    return Tensor(_crop(grid, cache).transpose(1, 0, 2, 3)), cache
+    cache = Conv2dCache(layout, x.shape, geo.out_spatial, geo.rows, geo.cols, geo.taps,
+                        geo.grid_cols)
+    return Tensor(_crop(grid, n, geo).transpose(1, 0, 2, 3)), cache
 
 
 def conv2d_infer(
@@ -311,10 +375,11 @@ def conv2d_infer(
     crop: a per-channel elementwise map such as a bias add or
     batchnorm_relu_infer, whose values on the cropped columns are unused.
     """
-    cache = _tap_layout(sources, spec, kernel.value)
-    grid = _tap_gemm(cache, kernel.value)
+    layout, geo = _tap_layout(sources, spec, kernel.value)
+    n = sources[0].shape[1]
+    grid = _tap_gemm(layout, n, geo, kernel.value)
     epilogue(grid)
-    return _crop(grid, cache)
+    return _crop(grid, n, geo)
 
 
 def conv2d_backward(
@@ -336,10 +401,11 @@ def conv2d_backward(
 
     Every block holds a multiple of _COL_QUANTUM columns (the last one
     zero-extended), so the bits do not depend on the BLAS thread count.
-    The input gradient is the layout gradient read back out of its
-    phases, which drops the padding, into a channel-major Tensor. Skipped
-    (dead) taps read only zeros, so their kernel gradient is 0 and their
-    input gradient lands in the padding.
+    The input gradient is the layout gradient without its padding: with
+    stride 1 a channel-major view of it, with stride 2 a channel-major
+    Tensor gathered from its phases. Skipped (dead) taps read only zeros,
+    so their kernel gradient is 0 and their input gradient lands in the
+    padding.
     """
     if cache is None:
         raise ValueError("conv2d_backward requires the forward cache (run forward first)")
@@ -350,6 +416,9 @@ def conv2d_backward(
             f"grad_out shape {grad_out.shape} does not match forward output "
             f"{(n, spec.out_channels, oh, ow)}"
         )
+    geo = _geometry(n, h, w, spec)
+    if spec.in_channels != c or geo.taps != cache.taps:
+        raise ValueError(f"{spec} does not match the forward's input {cache.input_shape}")
     g = grad_out.data
     if bias is not None:
         bias.add_grad(g.sum(axis=(0, 2, 3)))
@@ -357,23 +426,26 @@ def conv2d_backward(
     layout = cache.padded
     s, _, _, length = layout.shape
     dtype = layout.dtype
-    oc, hr, wr = spec.out_channels, cache.rows.pitch, cache.cols.pitch
-    margin = max(t.off for t in cache.taps)
+    oc, hr, wr = spec.out_channels, geo.rows.pitch, geo.cols.pitch
+    margin = max(t.off for t in geo.taps)
     gz = np.zeros((oc, margin + length + _COL_QUANTUM), dtype=dtype)  # + a block's zero extension
     gz[:, margin : margin + n * hr * wr].reshape(oc, n, hr, wr)[:, :, :oh, :ow] = (
         g.transpose(1, 0, 2, 3))
-    phases = [[t for t in cache.taps if (t.a, t.b) == (a, b)] for a in range(s) for b in range(s)]
-    stack_rows = oc * max(len(taps) for taps in phases)
+    stack_rows = oc * max(len(ph.taps) for ph in geo.phases)
     width = min(_BLOCK_COLS, length,
                 max(_COL_QUANTUM, _STACK_ELEMS // stack_rows // _COL_QUANTUM * _COL_QUANTUM))
     stack = np.empty((stack_rows, _quantize(width)), dtype=dtype)
-    glayout = np.zeros_like(layout)
+    # the last block of every phase, zero-extended to the reduction length
+    last = length - (length - 1) // width * width
+    xlast = np.empty((c, _quantize(last)), dtype=dtype)
+    xlast[:, last:] = 0
+    glayout = np.empty_like(layout)
     gkernel = np.zeros_like(kernel.value)
-    for taps in phases:
+    for a, b, taps, (ki, kj) in geo.phases:
         if not taps:
-            continue  # the phase's layout gradient stays 0
-        a, b = taps[0].a, taps[0].b
-        kstack = np.concatenate([kernel.value[:, :, t.i, t.j] for t in taps])
+            glayout[a, b] = 0  # no tap reads the phase
+            continue
+        kstack = kernel.value[:, :, ki, kj].transpose(2, 0, 1).reshape(-1, c)
         gk = np.zeros_like(kstack, dtype=dtype)
         for m0 in range(0, length, width):
             m1 = min(length, m0 + width)
@@ -383,16 +455,19 @@ def conv2d_backward(
                 g0 = margin - t.off + m0
                 shifted[r * oc : (r + 1) * oc] = gz[:, g0 : g0 + cols]
             x = layout[a, b, :, m0:m1]
-            if cols > m1 - m0:  # the last block, zero-extended to the reduction length
-                x = np.pad(x, ((0, 0), (0, cols - (m1 - m0))))
+            if cols > m1 - m0:
+                xlast[:, : m1 - m0] = x
+                x = xlast
             gk += shifted @ x.T
             _matmul(kstack.T, shifted[:, : m1 - m0], glayout[a, b, :, m0:m1])
-        for r, t in enumerate(taps):
-            gkernel[:, :, t.i, t.j] = gk[r * oc : (r + 1) * oc]
+        gkernel[:, :, ki, kj] = gk.reshape(-1, oc, c).transpose(1, 2, 0)
     kernel.add_grad(gkernel)
-    gx = np.empty((c, n, h, w), dtype=dtype)
-    for dst, view in _phase_views(glayout, cache):
-        gx[(slice(None), slice(None), *dst)] = view
+    if s == 1:
+        _, gx = next(_phase_views(glayout, n, geo))
+    else:
+        gx = np.empty((c, n, h, w), dtype=dtype)
+        for dst, view in _phase_views(glayout, n, geo):
+            gx[(slice(None), slice(None), *dst)] = view
     return Tensor(gx.transpose(1, 0, 2, 3))
 
 

@@ -29,12 +29,13 @@ class Tensor:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        self.data = np.asarray(self.data)
+        if type(self.data) is not np.ndarray:
+            self.data = np.asarray(self.data)
         if self.data.ndim != 4:
             raise ValueError(f"Tensor data must be 4-D (N,C,H,W), got ndim={self.data.ndim}")
         if min(self.data.shape) < 1:
             raise ValueError(f"Tensor extents must all be >= 1, got shape {self.data.shape}")
-        if not np.issubdtype(self.data.dtype, np.floating):
+        if self.data.dtype.kind != "f":
             raise ValueError(f"Tensor data must be floating point, got {self.data.dtype}")
 
     @property

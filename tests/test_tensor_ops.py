@@ -365,6 +365,134 @@ def test_conv_bits_independent_of_blas_threads():
     assert digests[0] == digests[1]
 
 
+def _nan_filled(alloc):
+    """alloc (np.empty or np.empty_like) with float results filled with NaN."""
+    def nan_alloc(*args, **kwargs):
+        a = alloc(*args, **kwargs)
+        if a.dtype.kind == "f":
+            a.fill(np.nan)
+        return a
+    return nan_alloc
+
+
+# (spec, input shape (N, C, H, W)); odd and even extents
+_SCRATCH_CASES = [
+    (ConvSpec(3, 4), (2, 3, 7, 6)),
+    (ConvSpec(5, 2), (2, 5, 8, 8)),
+    (ConvSpec(3, 4, stride=2), (2, 3, 7, 6)),
+    (ConvSpec(4, 3, stride=2), (2, 4, 8, 8)),
+    (ConvSpec(2, 3, stride=2), (2, 2, 1, 5)),              # phase row 0 reads no live tap
+    (ConvSpec(3, 2, kernel=1, stride=2), (2, 3, 5, 6)),    # three phases read no tap
+    (ConvSpec(4, 3, dilation=2), (2, 4, 6, 9)),
+    (ConvSpec(4, 3, dilation=4), (2, 4, 8, 8)),
+    (ConvSpec(4, 3, dilation=8), (2, 4, 8, 8)),            # one live tap of nine
+    (ConvSpec(1, 1, dilation=8), (1, 1, 8, 8)),            # ... on one channel: outer products
+    (ConvSpec(5, 2, kernel=1), (2, 5, 5, 4)),
+    (ConvSpec(1, 4), (2, 1, 9, 9)),                        # nine taps in one GEMM
+]
+
+
+class TestConvScratchMemory:
+    """The conv allocates its output grid, layout gradient and scratch
+    buffers uninitialised and writes or zeroes exactly what it reads.
+    Filling every uninitialised array with NaN makes a read of
+    uninitialised memory show up as a NaN or a changed bit."""
+
+    @staticmethod
+    def _run(spec, shape, dtype):
+        rng = np.random.default_rng(sum(shape) + spec.stride + spec.dilation)
+        n, c, h, w = shape
+        x = rng.standard_normal((c, n, h, w)).astype(dtype)
+        k = spec.kernel
+        kernel = Parameter(rng.standard_normal((spec.out_channels, c, k, k)).astype(dtype),
+                           "conv-kernel", regularized=True)
+        bias = Parameter(rng.standard_normal(spec.out_channels).astype(dtype), "conv-bias")
+        y, cache = ops.conv2d_forward(Tensor(x.transpose(1, 0, 2, 3)), spec, kernel, bias)
+        g = rng.standard_normal(y.shape).astype(dtype)
+        gx = ops.conv2d_backward(Tensor(g), cache, spec, kernel, bias)
+        grids = []
+        sources = [x[: c // 2], x[c // 2 :]] if c > 1 else [x]
+        z = ops.conv2d_infer(sources, spec, kernel, lambda grid: grids.append(grid.copy()))
+        return {"forward": y.data, "layout": cache.padded, "input grad": gx.data,
+                "kernel grad": kernel.grad, "bias grad": bias.grad, "infer": z,
+                "infer grid": grids[0]}
+
+    @pytest.mark.parametrize("spec, shape", _SCRATCH_CASES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_nan_filled_scratch_gives_the_same_bits(self, spec, shape, dtype):
+        want = self._run(spec, shape, dtype)
+        with mock.patch.object(np, "empty", _nan_filled(np.empty)), \
+                mock.patch.object(np, "empty_like", _nan_filled(np.empty_like)):
+            got = self._run(spec, shape, dtype)
+        for name, a in got.items():
+            assert np.isfinite(a).all(), name
+            assert a.dtype == want[name].dtype and a.shape == want[name].shape, name
+            want_bytes = np.ascontiguousarray(want[name]).tobytes()
+            assert np.ascontiguousarray(a).tobytes() == want_bytes, name
+
+
+class TestConvAliasing:
+    """A conv call shares no memory that a later call writes: caches,
+    outputs and returned gradient views stay as they were returned."""
+
+    @pytest.mark.parametrize("spec", [ConvSpec(3, 4), ConvSpec(3, 4, stride=2),
+                                      ConvSpec(3, 4, dilation=2), ConvSpec(3, 4, kernel=1)])
+    def test_second_call_of_the_same_shape_leaves_the_first_alone(self, spec):
+        rng = np.random.default_rng(5)
+        kernel = Parameter(rng.standard_normal((4, 3, spec.kernel, spec.kernel)),
+                           "conv-kernel", regularized=True)
+
+        def call():
+            x = rng.standard_normal((3, 2, 7, 8))
+            y, cache = ops.conv2d_forward(Tensor(x.transpose(1, 0, 2, 3)), spec, kernel, None)
+            gx = ops.conv2d_backward(Tensor(rng.standard_normal(y.shape)), cache, spec,
+                                     kernel, None)
+            z = ops.conv2d_infer([x], spec, kernel, lambda grid: None)
+            return [y.data, cache.padded, gx.data, z]
+
+        first = call()
+        kept = [a.copy() for a in first]
+        if spec.stride == 1 and spec.kernel == 3:
+            # the input gradient is a view of the padded layout gradient
+            assert first[2].strides[2] > first[2].shape[3] * first[2].itemsize
+        second = call()
+        for a, b, c in zip(first, kept, second):
+            assert np.array_equal(a, b)
+            assert not np.shares_memory(a, c)
+
+    def test_geometry_is_cached_per_shape_and_spec_and_immutable(self):
+        specs = [ConvSpec(4, 4), ConvSpec(4, 4, stride=2), ConvSpec(4, 4, dilation=2),
+                 ConvSpec(4, 4, dilation=8), ConvSpec(4, 4, kernel=1)]
+        geos = [ops._geometry(2, 8, 8, spec) for spec in specs]
+        assert all(ops._geometry(2, 8, 8, spec) is geo for spec, geo in zip(specs, geos))
+        assert len({(geo.out_spatial, geo.taps) for geo in geos}) == len(specs)
+        assert ops._geometry(3, 8, 8, specs[0]).length != geos[0].length
+
+        def check(value):
+            if isinstance(value, np.ndarray):
+                assert not value.flags.writeable
+                with pytest.raises(ValueError):
+                    value[...] = 0
+            elif isinstance(value, tuple):
+                for v in value:
+                    check(v)
+            else:
+                assert isinstance(value, int)
+
+        for geo in geos:
+            check(geo)
+
+    def test_backward_refuses_a_spec_the_forward_did_not_run(self):
+        rng = np.random.default_rng(6)
+        spec = ConvSpec(3, 4)
+        kernel = Parameter(rng.standard_normal((4, 3, 3, 3)), "conv-kernel", regularized=True)
+        y, cache = ops.conv2d_forward(Tensor(rng.standard_normal((2, 3, 8, 8))), spec, kernel,
+                                      None)
+        with pytest.raises(ValueError, match="does not match the forward"):
+            ops.conv2d_backward(Tensor(np.ones(y.shape)), cache, ConvSpec(3, 4, dilation=2),
+                                kernel, None)
+
+
 class TestBatchNorm:
     def test_train_normalizes_per_channel(self):
         rng = np.random.default_rng(1)
