@@ -71,6 +71,10 @@ def _load_binary_mask_stack(path: Path) -> np.ndarray:
         if not files:
             raise DataFormatError(f"{path}: no .pgm files found")
         slices = [(dp.read_pgm(f.read_bytes()) > 0).astype(np.int64) for f in files]
+        for f, s in zip(files, slices):
+            if s.shape != slices[0].shape:
+                raise DataFormatError(
+                    f"{f}: shape {s.shape}, but {files[0].name} has {slices[0].shape}")
         return np.stack(slices)
     return (dp.read_mrc(path).data != 0).astype(np.int64)
 
@@ -256,6 +260,9 @@ def _load_prob_stack(path: str) -> np.ndarray:
 
 def cmd_fuse(args: argparse.Namespace) -> int:
     _require_threshold(args.threshold)
+    if len(args.probs) > len(dp.CLASS_ORDER):  # refused before any file is read
+        raise ConfigError(f"--probs takes one stack per class ({' '.join(dp.CLASS_ORDER)}), "
+                          f"got {len(args.probs)}")
     stacks = [_load_prob_stack(p) for p in args.probs]
     fused = dp.fuse_probabilities(stacks, threshold=args.threshold)
     out_dir = Path(args.out_dir)

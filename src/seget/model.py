@@ -8,7 +8,7 @@ conv, `depth` decoder blocks (bilinear 2x, skip concat, two convs), and
 a multi-level fusion stage that progressively merges the deeper decoder
 outputs before two refining convs and the final 1x1 logit conv. Every
 conv is followed by BN and ReLU except the logit conv, which must stay
-unbounded.
+unbounded. Units only compose ops: BN and ReLU live in ops.batchnorm_relu_*.
 
 One static node list, built with the layers, drives forward (walk it),
 infer (walk it without caches), backward (replay it in reverse, summing
@@ -137,14 +137,14 @@ class _Conv:
 
 
 class _ConvBnRelu:
-    """conv 3x3/1x1 -> batchnorm -> relu, the repeated unit of the network.
+    """conv 3x3/1x1 -> batchnorm -> relu, the repeated unit of the network:
+    the conv composed with ops.batchnorm_relu_forward/backward.
 
     The conv carries no bias: batch normalization's mean subtraction
     absorbs any constant shift, so the parameter would be dead weight.
 
     In training the unit stores two arrays: the conv's input in its tap
-    layout and BN's xhat. The ReLU runs in place on BN's output and keeps
-    no mask; backward recomputes it from xhat.
+    layout and BN's xhat, from which backward recomputes the ReLU mask.
     """
 
     def __init__(self, name: str, spec: ConvSpec, rng: np.random.Generator, dtype):
@@ -159,10 +159,9 @@ class _ConvBnRelu:
         return self.conv.spec
 
     def forward(self, x: Tensor, mode: str) -> Tensor:
-        h = self.conv.forward(x)
-        h, self._bn_cache = ops.batchnorm_forward(h, self.gamma, self.beta, self.state, mode)
-        np.maximum(h.data, 0, out=h.data)
-        return h
+        y, self._bn_cache = ops.batchnorm_relu_forward(
+            self.conv.forward(x), self.gamma, self.beta, self.state, mode)
+        return y
 
     def infer(self, sources: list[np.ndarray]) -> np.ndarray:
         """forward in infer mode on channel-major sources; keeps no cache."""
@@ -171,20 +170,8 @@ class _ConvBnRelu:
             lambda grid: ops.batchnorm_relu_infer(grid, self.gamma, self.beta, self.state),
         )
 
-    def _relu_mask(self) -> np.ndarray:
-        """forward's output > 0, recomputed from the cached xhat with the
-        arithmetic of batchnorm_forward (xhat * gamma, then + beta, in
-        xhat's dtype), so it is forward's mask bit for bit."""
-        per_channel = (1, -1, 1, 1)
-        h = self._bn_cache.xhat * self.gamma.value.reshape(per_channel)
-        h += self.beta.value.reshape(per_channel)
-        return h > 0
-
     def backward(self, g: Tensor) -> Tensor:
-        if self._bn_cache is None:
-            raise ValueError("backward requires a preceding forward pass")
-        g = Tensor(g.data * self._relu_mask())
-        g = ops.batchnorm_backward(g, self._bn_cache, self.gamma, self.beta)
+        g = ops.batchnorm_relu_backward(g, self._bn_cache, self.gamma, self.beta)
         return self.conv.backward(g)
 
     def parameters(self) -> dict[str, Parameter]:
@@ -273,18 +260,16 @@ class SegETNetwork:
             unit = _ConvBnRelu(name, spec, rng, dt)
             return unit, node(name, "conv", unit, x)
 
-        self.encoder: list[dict] = []
         skips: list[int] = []
         prev, x = INPUT_CHANNELS, 0
         for i in range(depth):
             f = config.filters(i)
             sk = config.skip_channels(i)
-            c1, x = conv(f"enc{i}.c1", ConvSpec(prev, f), x)
-            c2, x = conv(f"enc{i}.c2", ConvSpec(f, f), x)
-            c3, x = conv(f"enc{i}.c3", ConvSpec(f, sk), x)
+            _, x = conv(f"enc{i}.c1", ConvSpec(prev, f), x)
+            _, x = conv(f"enc{i}.c2", ConvSpec(f, f), x)
+            _, x = conv(f"enc{i}.c3", ConvSpec(f, sk), x)
             skips.append(x)
-            c4, x = conv(f"enc{i}.c4", ConvSpec(sk, f, stride=2), x)
-            self.encoder.append({"c1": c1, "c2": c2, "c3": c3, "c4": c4})
+            _, x = conv(f"enc{i}.c4", ConvSpec(sk, f, stride=2), x)
             prev = f
 
         center_in = x

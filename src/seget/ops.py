@@ -17,6 +17,10 @@ they are given, so a training forward and backward keep every
 activation and gradient channel-major in memory from the first conv
 on, the layout the conv's tap GEMMs read and write.
 
+The network's conv -> BN -> ReLU unit is conv2d_* then the pair
+batchnorm_relu_forward/backward; _bn_affine, gamma * xhat + beta, is
+the one BN output computation of every path and of the ReLU mask.
+
 The *_infer functions are the cache-free inference path. They work on
 channel-major arrays (C, N, H, W) and return or modify plain arrays, and
 each gives the same bits as the matching *_forward in infer mode:
@@ -172,11 +176,7 @@ class _Geometry(NamedTuple):
 class Conv2dCache:
     padded: np.ndarray            # zero-padded input in the tap layout, (s, s, C, L)
     input_shape: tuple[int, int, int, int]
-    out_spatial: tuple[int, int]
-    rows: _AxisLayout
-    cols: _AxisLayout
-    taps: tuple[_Tap, ...]        # live taps only
-    grid_cols: int                # columns the tap GEMMs span, a multiple of _COL_QUANTUM
+    spec: ConvSpec                # the backward takes the geometry from _geometry
 
 
 def _same_padding(h: int, w: int, spec: ConvSpec) -> tuple[int, int, int, int, int, int]:
@@ -358,9 +358,7 @@ def conv2d_forward(
     grid = _tap_gemm(layout, n, geo, kernel.value)
     if bias is not None:
         grid += bias.value[:, None]
-    cache = Conv2dCache(layout, x.shape, geo.out_spatial, geo.rows, geo.cols, geo.taps,
-                        geo.grid_cols)
-    return Tensor(_crop(grid, n, geo).transpose(1, 0, 2, 3)), cache
+    return Tensor(_crop(grid, n, geo).transpose(1, 0, 2, 3)), Conv2dCache(layout, x.shape, spec)
 
 
 def conv2d_infer(
@@ -409,16 +407,16 @@ def conv2d_backward(
     """
     if cache is None:
         raise ValueError("conv2d_backward requires the forward cache (run forward first)")
-    oh, ow = cache.out_spatial
+    if spec != cache.spec:
+        raise ValueError(f"{spec} does not match the forward's {cache.spec}")
     n, c, h, w = cache.input_shape
+    geo = _geometry(n, h, w, spec)
+    oh, ow = geo.out_spatial
     if grad_out.shape != (n, spec.out_channels, oh, ow):
         raise ValueError(
             f"grad_out shape {grad_out.shape} does not match forward output "
             f"{(n, spec.out_channels, oh, ow)}"
         )
-    geo = _geometry(n, h, w, spec)
-    if spec.in_channels != c or geo.taps != cache.taps:
-        raise ValueError(f"{spec} does not match the forward's input {cache.input_shape}")
     g = grad_out.data
     if bias is not None:
         bias.add_grad(g.sum(axis=(0, 2, 3)))
@@ -544,7 +542,7 @@ def batchnorm_forward(
     Works on the channel-major view of x: the centred input is built once
     as a channel-major array that becomes xhat in place (train mode takes
     the variance from the dot products of its rows), and the output is
-    gamma * xhat + beta, built in place from it."""
+    _bn_affine(xhat), a new array."""
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
     c = x.shape[1]
@@ -569,26 +567,42 @@ def batchnorm_forward(
         state.num_updates += 1
         invstd = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= invstd.reshape(-1, 1, 1, 1)
-    out = xhat * gamma.value.reshape(-1, 1, 1, 1)
-    out += beta.value.reshape(-1, 1, 1, 1)
-    return (Tensor(out.transpose(1, 0, 2, 3)),
+    return (Tensor(_bn_affine(xhat, gamma, beta).transpose(1, 0, 2, 3)),
             BatchNormCache(xhat.transpose(1, 0, 2, 3), invstd, mode))
+
+
+def _bn_affine(xhat: np.ndarray, gamma: Parameter, beta: Parameter,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """xhat * gamma, then + beta, per channel of a channel-major array
+    (C, ...), in the one order every BN path uses; out may be xhat."""
+    per_channel = (-1,) + (1,) * (xhat.ndim - 1)
+    out = np.multiply(xhat, gamma.value.reshape(per_channel), out=out)
+    out += beta.value.reshape(per_channel)
+    return out
+
+
+def batchnorm_relu_forward(
+    x: Tensor, gamma: Parameter, beta: Parameter, state: BatchNormState, mode: str
+) -> tuple[Tensor, BatchNormCache]:
+    """relu(batchnorm_forward(x)) in place on BN's output; the cache is
+    BN's alone, as the backward recomputes the mask from its xhat."""
+    y, cache = batchnorm_forward(x, gamma, beta, state, mode)
+    np.maximum(y.data, 0, out=y.data)
+    return y, cache
 
 
 def batchnorm_relu_infer(
     h: np.ndarray, gamma: Parameter, beta: Parameter, state: BatchNormState
 ) -> None:
     """relu(batchnorm_forward(h, mode="infer")) in place on a channel-major
-    array h (C, ...). The arithmetic and its order are fixed to the ones
-    of batchnorm_forward's infer branch, (h - mean) * invstd, then
-    gamma * xhat + beta, so the bits are the same; only the ReLU differs
-    in form (np.maximum propagates NaN where relu_forward zeroes it)."""
+    array h (C, ...), in the infer branch's order, (h - mean) * invstd,
+    then _bn_affine, so the bits are the same; only the ReLU differs in
+    form (np.maximum propagates NaN where relu_forward zeroes it)."""
     mean, invstd = running_statistics(state)
     per_channel = (-1,) + (1,) * (h.ndim - 1)
     h -= mean.reshape(per_channel)
     h *= invstd.reshape(per_channel)
-    h *= gamma.value.reshape(per_channel)
-    h += beta.value.reshape(per_channel)
+    _bn_affine(h, gamma, beta, out=h)
     np.maximum(h, 0, out=h)
 
 
@@ -623,13 +637,28 @@ def batchnorm_backward(
     return Tensor(dx.reshape(c, n, h, w).transpose(1, 0, 2, 3))
 
 
+def batchnorm_relu_backward(
+    grad_out: Tensor, cache: BatchNormCache | None, gamma: Parameter, beta: Parameter
+) -> Tensor:
+    """batchnorm_backward of grad_out masked by _relu_mask."""
+    if cache is None:
+        raise ValueError("batchnorm_relu_backward requires the forward cache")
+    return batchnorm_backward(Tensor(grad_out.data * _relu_mask(cache, gamma, beta)),
+                              cache, gamma, beta)
+
+
+def _relu_mask(cache: BatchNormCache, gamma: Parameter, beta: Parameter) -> np.ndarray:
+    """The forward's output > 0 (N, C, H, W), recomputed from xhat bit for bit."""
+    return (_bn_affine(cache.xhat.transpose(1, 0, 2, 3), gamma, beta) > 0).transpose(1, 0, 2, 3)
+
+
 # ---------------------------------------------------------------------------
 # activations
 # ---------------------------------------------------------------------------
 
-# The network's units apply ReLU in place on BN's output and recompute its
-# mask in backward (model._ConvBnRelu); these two stay as the reference
-# ReLU that gradcheck and the tests compare against.
+# The network's units run ReLU inside batchnorm_relu_forward/backward;
+# these two stay as the reference ReLU that gradcheck and the tests
+# compare against.
 def relu_forward(x: Tensor) -> tuple[Tensor, np.ndarray]:
     mask = x.data > 0
     return Tensor(np.where(mask, x.data, 0.0)), mask
@@ -666,15 +695,10 @@ def sigmoid_backward(grad_out: Tensor, s: np.ndarray | None) -> Tensor:
 # bilinear 2x upsampling
 # ---------------------------------------------------------------------------
 
-_upsample_matrix_cache: dict[tuple[int, str], np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=64)
 def _bilinear_matrix(n_in: int, dtype: np.dtype) -> np.ndarray:
-    """(2n x n) half-pixel interpolation matrix for one axis; rows sum to 1."""
-    key = (n_in, np.dtype(dtype).str)
-    cached = _upsample_matrix_cache.get(key)
-    if cached is not None:
-        return cached
+    """(2n x n) half-pixel interpolation matrix for one axis, read-only;
+    rows sum to 1."""
     n_out = 2 * n_in
     m = np.zeros((n_out, n_in), dtype=dtype)
     for o in range(n_out):
@@ -684,25 +708,16 @@ def _bilinear_matrix(n_in: int, dtype: np.dtype) -> np.ndarray:
         i1 = min(i0 + 1, n_in - 1)
         m[o, i0] += 1.0 - frac
         m[o, i1] += frac
-    _upsample_matrix_cache[key] = m
+    m.flags.writeable = False
     return m
 
 
-@dataclass
-class UpsampleCache:
-    row_matrix: np.ndarray
-    col_matrix: np.ndarray
-    input_shape: tuple[int, int, int, int]
-
-
-def bilinear_upsample_2x_forward(x: Tensor) -> tuple[Tensor, UpsampleCache]:
+def bilinear_upsample_2x_forward(x: Tensor) -> tuple[Tensor, tuple[int, int, int, int]]:
     """Doubles H and W with half-pixel centers. The map is separable,
     out = Wr @ x @ Wc^T, and the backward pass is its exact transpose by
-    construction."""
-    _, _, h, w = x.shape
+    construction; the cache is the input shape."""
     out = bilinear_upsample_2x_infer(x.data.transpose(1, 0, 2, 3))
-    return (Tensor(out.transpose(1, 0, 2, 3)),
-            UpsampleCache(_bilinear_matrix(h, x.dtype), _bilinear_matrix(w, x.dtype), x.shape))
+    return Tensor(out.transpose(1, 0, 2, 3)), x.shape
 
 
 def bilinear_upsample_2x_infer(x: np.ndarray) -> np.ndarray:
@@ -712,16 +727,17 @@ def bilinear_upsample_2x_infer(x: np.ndarray) -> np.ndarray:
     return np.matmul(np.matmul(wr, x), wc.T)
 
 
-def bilinear_upsample_2x_backward(grad_out: Tensor, cache: UpsampleCache | None) -> Tensor:
+def bilinear_upsample_2x_backward(grad_out: Tensor,
+                                  cache: tuple[int, int, int, int] | None) -> Tensor:
     if cache is None:
         raise ValueError("bilinear_upsample_2x_backward requires the forward cache")
-    if grad_out.shape[2:] != (2 * cache.input_shape[2], 2 * cache.input_shape[3]):
+    _, _, h, w = cache
+    if grad_out.shape[2:] != (2 * h, 2 * w):
         raise ValueError(
-            f"grad_out spatial {grad_out.shape[2:]} does not match upsampled "
-            f"{(2 * cache.input_shape[2], 2 * cache.input_shape[3])}"
+            f"grad_out spatial {grad_out.shape[2:]} does not match upsampled {(2 * h, 2 * w)}"
         )
     g = grad_out.data.transpose(1, 0, 2, 3)
-    gx = np.matmul(np.matmul(cache.row_matrix.T, g), cache.col_matrix)
+    gx = np.matmul(np.matmul(_bilinear_matrix(h, g.dtype).T, g), _bilinear_matrix(w, g.dtype))
     return Tensor(gx.transpose(1, 0, 2, 3))
 
 

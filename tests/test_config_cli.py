@@ -13,7 +13,7 @@ import pytest
 from seget import cli
 from seget.checkpoint import load_checkpoint
 from seget.config import PRESETS, RunConfig, dump_config, load_preset, parse_config, set_value
-from seget.data import read_pgm, read_ppm, write_mask_pgm
+from seget.data import CLASS_ORDER, read_pgm, read_ppm, write_mask_pgm
 from seget.errors import ConfigError
 from seget.ops import sigmoid
 from seget.tensor import Tensor
@@ -533,6 +533,20 @@ class TestCliEvaluate:
         (b / "s.pgm").write_bytes(write_mask_pgm(np.zeros((2, 3), dtype=np.int64)))
         assert cli.main(["evaluate", "--pred", str(a), "--gt", str(b)]) == 2
 
+    @pytest.mark.parametrize("side", ["pred", "gt"])
+    def test_mixed_sizes_in_one_directory_exit_2_naming_the_file(self, tmp_path, capsys, side):
+        dirs = {"pred": tmp_path / "pred", "gt": tmp_path / "gt"}
+        for d in dirs.values():
+            d.mkdir()
+            (d / "s0.pgm").write_bytes(write_mask_pgm(np.zeros((4, 4), dtype=np.int64)))
+            (d / "s1.pgm").write_bytes(write_mask_pgm(np.zeros((4, 4), dtype=np.int64)))
+        odd = dirs[side] / "s1.pgm"
+        odd.write_bytes(write_mask_pgm(np.zeros((4, 5), dtype=np.int64)))
+        rc = cli.main(["evaluate", "--pred", str(dirs["pred"]), "--gt", str(dirs["gt"])])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(odd) in err and "(4, 5)" in err and "(4, 4)" in err
+
     def test_truncated_pgm_header_exits_2(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -631,6 +645,16 @@ class TestCliFuse:
                        "--threshold", threshold])
         assert rc == 1
         assert "--threshold" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_more_stacks_than_classes_exit_1_before_reading(self, tmp_path, capsys):
+        """Six (missing) stacks for five classes are refused before any is
+        opened, which would exit 4, and before --out-dir is made."""
+        out = tmp_path / "o"
+        paths = [str(tmp_path / f"none{i}.npy") for i in range(len(CLASS_ORDER) + 1)]
+        rc = cli.main(["fuse", "--probs", *paths, "--out-dir", str(out)])
+        assert rc == 1
+        assert "--probs" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -27,8 +27,9 @@ def rand_input(cfg, n=1, hw=None, seed=0):
 
 class TestBuild:
     def test_encoder_filter_ladder_doubles(self):
-        net = build(NetworkConfig())  # full-size defaults
-        assert [blk["c1"].spec.out_channels for blk in net.encoder] == [16, 32, 64, 128]
+        rows = build(NetworkConfig()).describe().rows  # full-size defaults
+        c1 = [r.out_shape[1] for r in rows if r.name.startswith("enc") and r.name.endswith(".c1")]
+        assert c1 == [16, 32, 64, 128]
 
     def test_bottleneck_spatial_for_512_input(self):
         net = build(NetworkConfig())
@@ -303,7 +304,7 @@ class TestConvBnReluUnit:
         out = unit.forward(x, mode).data.copy()
         assert np.all(out[:, 0] == 0) and np.all(out[:, 1] == 0.5)
         assert (out > 0).any() and (out[:, 2:] == 0).any()
-        assert np.array_equal(unit._relu_mask(), out > 0)
+        assert np.array_equal(ops._relu_mask(unit._bn_cache, unit.gamma, unit.beta), out > 0)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_backward_equals_relu_batchnorm_conv_backward(self, dtype):

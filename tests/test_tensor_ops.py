@@ -1,6 +1,7 @@
 """Operator-level tests: forward values against independent oracles,
 backward passes against finite differences, and the type invariants."""
 
+import copy
 import os
 import subprocess
 import sys
@@ -482,15 +483,16 @@ class TestConvAliasing:
         for geo in geos:
             check(geo)
 
-    def test_backward_refuses_a_spec_the_forward_did_not_run(self):
+    @pytest.mark.parametrize("other", [ConvSpec(3, 4, dilation=2), ConvSpec(3, 4, stride=2),
+                                       ConvSpec(3, 4, kernel=1)])
+    def test_backward_refuses_a_spec_the_forward_did_not_run(self, other):
         rng = np.random.default_rng(6)
         spec = ConvSpec(3, 4)
         kernel = Parameter(rng.standard_normal((4, 3, 3, 3)), "conv-kernel", regularized=True)
         y, cache = ops.conv2d_forward(Tensor(rng.standard_normal((2, 3, 8, 8))), spec, kernel,
                                       None)
         with pytest.raises(ValueError, match="does not match the forward"):
-            ops.conv2d_backward(Tensor(np.ones(y.shape)), cache, ConvSpec(3, 4, dilation=2),
-                                kernel, None)
+            ops.conv2d_backward(Tensor(np.ones(y.shape)), cache, other, kernel, None)
 
 
 class TestBatchNorm:
@@ -581,6 +583,73 @@ class TestBatchNorm:
         h = np.ascontiguousarray(x.data.transpose(1, 0, 2, 3))
         ops.batchnorm_relu_infer(h, gamma, beta, state)
         assert np.array_equal(h.transpose(1, 0, 2, 3), expected.data)
+
+
+class TestBatchNormRelu:
+    """The unit's fused pair gives the reference ops' results:
+    relu_forward after batchnorm_forward, and batchnorm_backward after
+    relu_backward on the forward's mask."""
+
+    @staticmethod
+    def inputs(dtype, seed=9):
+        """Channel-major input whose channels 0 and 1 are all zero, so their
+        xhat is 0 in both modes; with beta 0 and 0.5 every output of
+        channel 0 is exactly 0 and of channel 1 exactly 0.5. Running
+        statistics come from one train batch."""
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((2, 6, 5, 4)).astype(dtype)
+        x[:, :2] = 0.0
+        gamma = Parameter(rng.standard_normal(6).astype(dtype), "bn-gamma")
+        beta = Parameter(rng.standard_normal(6).astype(dtype), "bn-beta")
+        beta.value[:2] = (0.0, 0.5)
+        state = ops.BatchNormState.create(6, dtype=dtype)
+        ops.batchnorm_forward(Tensor(x * 2.0), gamma, beta, state, "train")
+        return channel_major(x), gamma, beta, state
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_forward_equals_relu_of_batchnorm(self, dtype, mode):
+        x, gamma, beta, state = self.inputs(dtype)
+        ref_state = copy.deepcopy(state)
+        bn, ref_cache = ops.batchnorm_forward(x, gamma, beta, ref_state, mode)
+        expected, _ = ops.relu_forward(bn)
+        y, cache = ops.batchnorm_relu_forward(x, gamma, beta, state, mode)
+        assert np.all(y.data[:, 0] == 0) and np.all(y.data[:, 1] == 0.5)
+        assert (y.data[:, 2:] > 0).any() and (y.data[:, 2:] == 0).any()
+        assert y.data.dtype == expected.data.dtype == dtype
+        assert np.ascontiguousarray(y.data).tobytes() == expected.data.tobytes()
+        assert np.array_equal(cache.xhat, ref_cache.xhat)
+        assert np.array_equal(cache.invstd, ref_cache.invstd)
+        assert state.num_updates == ref_state.num_updates
+        assert np.array_equal(state.running_mean, ref_state.running_mean)
+        assert np.array_equal(state.running_var, ref_state.running_var)
+        assert np.array_equal(ops._relu_mask(cache, gamma, beta), expected.data > 0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_backward_equals_batchnorm_backward_of_relu_backward(self, dtype, mode):
+        """Equal values; a masked-out zero may differ in sign, as the pair
+        masks by multiplying and relu_backward by np.where."""
+        x, gamma, beta, state = self.inputs(dtype)
+        y, cache = ops.batchnorm_relu_forward(x, gamma, beta, state, mode)
+        g = channel_major(np.random.default_rng(10).standard_normal(y.shape).astype(dtype))
+        results = []
+        for reference in (False, True):
+            gamma.zero_grad()
+            beta.zero_grad()
+            if reference:
+                gx = ops.batchnorm_backward(ops.relu_backward(g, y.data > 0), cache, gamma, beta)
+            else:
+                gx = ops.batchnorm_relu_backward(g, cache, gamma, beta)
+            results.append([gx.data, gamma.grad.copy(), beta.grad.copy()])
+        for got, expected in zip(*results):
+            assert got.dtype == expected.dtype == dtype
+            assert np.array_equal(got, expected)
+
+    def test_backward_requires_the_forward_cache(self):
+        gamma, beta = Parameter(np.ones(1), "bn-gamma"), Parameter(np.zeros(1), "bn-beta")
+        with pytest.raises(ValueError, match="requires the forward cache"):
+            ops.batchnorm_relu_backward(Tensor(np.ones((1, 1, 2, 2))), None, gamma, beta)
 
 
 def channel_major(x: np.ndarray) -> Tensor:
@@ -768,6 +837,12 @@ class TestBilinearUpsample:
         g = ops.bilinear_upsample_2x_backward(Tensor(np.ones((1, 1, 10, 14))), cache)
         assert g.data.sum() == pytest.approx(4 * 5 * 7, abs=1e-9)
 
+
+    def test_interpolation_matrices_are_shared_and_read_only(self):
+        m = ops._bilinear_matrix(5, np.dtype(np.float32))
+        assert ops._bilinear_matrix(5, np.dtype(np.float32)) is m
+        with pytest.raises(ValueError):
+            m[0, 0] = 2.0
 
     def test_infer_on_channel_major_equals_forward(self):
         x = np.random.default_rng(5).standard_normal((3, 2, 5, 4)).astype(np.float32)
