@@ -11,15 +11,17 @@ Layout (all little-endian):
     payload      raw array blobs, concatenated in manifest order
 
 Saving writes a sibling ``<name>.tmp`` and renames it over the target,
-so an interrupted save never leaves a torn checkpoint. Loading rebuilds
-the network from the config echo and rejects version mismatches, any
-difference between the file's array name set and the network's
-registry, and bytes after the last array.
+so an interrupted save never leaves a torn checkpoint. Loading checks
+the header's value types and ranges and that the payload can hold the
+network the config echo asks for, then rebuilds the network and rejects
+version mismatches, any difference between the file's array name set
+and the network's registry, and bytes after the last array.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -33,6 +35,11 @@ MAGIC = b"SGET"
 FORMAT_VERSION = 1
 
 _DTYPE_CODES = {"float32": "<f4", "float64": "<f8"}
+
+
+def _counts(*values) -> bool:
+    """All ints >= 0; JSON true/false load as bools, which are refused."""
+    return all(type(v) is int and v >= 0 for v in values)
 
 
 def _array_items(net: SegETNetwork) -> list[tuple[str, np.ndarray]]:
@@ -92,15 +99,37 @@ def load_checkpoint(path: str | Path) -> tuple[SegETNetwork, dict]:
         raise DataFormatError(f"{path}: truncated header ({hlen} bytes declared)")
     try:
         header = json.loads(raw[16 : 16 + hlen].decode("utf-8"))
-        config = NetworkConfig.from_dict(header["config"])
-        manifest = [(m["name"], tuple(m["shape"])) for m in header["arrays"]]
+        echo = header["config"]
+        config = NetworkConfig.from_dict(echo)
+        manifest = [(m["name"], m["shape"]) for m in header["arrays"]]
         code = header["dtype"]
-        bn_updates = {n: int(k) for n, k in header["bn_updates"].items()}
+        bn_updates = dict(header["bn_updates"].items())
         meta = {"epoch": header["epoch"], "val_miou": header["val_miou"]}
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        miou = meta["val_miou"]
+        ok = {
+            "config": _counts(echo["base_filters"], echo["depth"], *echo["dilation_rates"]),
+            "arrays": all(isinstance(n, str) and isinstance(shape, list) and _counts(*shape)
+                          for n, shape in manifest),
+            "bn_updates": _counts(*bn_updates.values()),
+            "epoch": _counts(meta["epoch"]),
+            "val_miou": type(miou) in (int, float) and math.isfinite(miou),
+            "dtype": code in _DTYPE_CODES.values(),
+        }
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise DataFormatError(
             f"{path}: malformed checkpoint header ({type(exc).__name__}: {exc})"
         ) from exc
+    bad = [key for key, passed in ok.items() if not passed]
+    if bad:
+        raise DataFormatError(f"{path}: malformed checkpoint header: bad {bad[0]!r} value")
+    manifest = [(n, tuple(shape)) for n, shape in manifest]
+    # refuse a network the payload cannot hold before build allocates it: the center
+    # branches alone are len(rates) 3x3 ConvSpec(2f, f) kernels, f >= 2^(depth - 1)
+    itemsize = np.dtype(code).itemsize
+    held = (len(raw) - 16 - hlen) // itemsize
+    if config.depth > held.bit_length() or (
+            len(config.dilation_rates) * 18 * config.filters(config.depth - 1) ** 2 > held):
+        raise DataFormatError(f"{path}: config echo needs more parameters than {held} stored")
     net = build(config)
 
     expected = {n: tuple(a.shape) for n, a in _array_items(net)}
@@ -115,9 +144,6 @@ def load_checkpoint(path: str | Path) -> tuple[SegETNetwork, dict]:
     if set(bn_updates) != set(net.bn_states):
         raise DataFormatError(f"{path}: bn_updates names do not match the network registry")
 
-    if code not in _DTYPE_CODES.values():
-        raise DataFormatError(f"{path}: unknown array dtype code {code!r}")
-    itemsize = np.dtype(code).itemsize
     offset = 16 + hlen
     loaded: dict[str, np.ndarray] = {}
     for name, shape in manifest:

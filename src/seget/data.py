@@ -1,6 +1,6 @@
-"""Tomography data path: MRC ingestion, normalization, sliding-window
-patching, the 1-in-N slice holdout, positive-patch oversampling, and
-mask image output (binary PGM / color PPM).
+"""Tomography data path: MRC reading and writing, normalization,
+sliding-window patching, the 1-in-N slice holdout, positive-patch
+oversampling, and mask image output (binary PGM / color PPM).
 
 MRC layout (MRC2014 convention): 1024-byte little-endian header; 32-bit
 words at offsets 0, 4, 8 are nx, ny, nz; offset 12 is the mode; the
@@ -77,6 +77,20 @@ def parse_mrc(raw: bytes) -> MrcVolume:
 
 def read_mrc(path: str | Path) -> MrcVolume:
     return parse_mrc(Path(path).read_bytes())
+
+
+def mrc_bytes(volume: np.ndarray) -> bytes:
+    """Minimal valid mode-0 MRC, parse_mrc's inverse: 1024-byte header, no extension."""
+    v = np.asarray(volume, dtype=np.int8)
+    if v.ndim != 3:
+        raise ValueError("volume must be 3-D (nz, ny, nx)")
+    nz, ny, nx = v.shape
+    header = bytearray(HEADER_SIZE)
+    # mode word at 12 stays 0 (int8); extended-header length at 92 stays 0
+    struct.pack_into("<3i", header, 0, nx, ny, nz)
+    struct.pack_into("<4s", header, 208, b"MAP ")            # conventional stamp
+    struct.pack_into("<4B", header, 212, 0x44, 0x44, 0, 0)   # little-endian machine stamp
+    return bytes(header) + v.tobytes()
 
 
 def normalize(volume: MrcVolume, per_slice: bool = False) -> np.ndarray:

@@ -82,8 +82,15 @@ def gradcheck(
 # projection so the backward is exercised with a general upstream gradient
 # ---------------------------------------------------------------------------
 
-def _projected(y: Tensor, proj: np.ndarray) -> float:
-    return float(np.sum(y.data * proj))
+def _check(name: str, tolerance: float, proj: np.ndarray, op: Callable,
+           *inputs: np.ndarray) -> GradCheckReport:
+    """gradcheck of sum(y * proj), where op(g, *inputs) returns y and the
+    gradients of the inputs backpropagated from the upstream gradient g."""
+    def fn(*args):
+        y, grads = op(Tensor(proj), *args)
+        return float(np.sum(y.data * proj)), grads
+
+    return gradcheck(fn, list(inputs), tolerance=tolerance, name=name)
 
 
 def _check_conv(rng: np.random.Generator, spec: ConvSpec, shape, name: str,
@@ -95,14 +102,14 @@ def _check_conv(rng: np.random.Generator, spec: ConvSpec, shape, name: str,
     oh, ow = spec.out_spatial(shape[2], shape[3])
     proj = rng.standard_normal((shape[0], spec.out_channels, oh, ow))
 
-    def fn(x, k, b):
+    def op(g, x, k, b):
         kernel = Parameter(k.copy(), "conv-kernel", regularized=True)
         bias = Parameter(b.copy(), "conv-bias")
         y, cache = ops.conv2d_forward(Tensor(x), spec, kernel, bias)
-        gx = ops.conv2d_backward(Tensor(proj), cache, spec, kernel, bias)
-        return _projected(y, proj), (gx.data, kernel.grad, bias.grad)
+        gx = ops.conv2d_backward(g, cache, spec, kernel, bias)
+        return y, (gx.data, kernel.grad, bias.grad)
 
-    return gradcheck(fn, [x0, k0, b0], tolerance=tolerance, name=name)
+    return _check(name, tolerance, proj, op, x0, k0, b0)
 
 
 def _check_batchnorm(rng: np.random.Generator, tolerance: float) -> GradCheckReport:
@@ -112,15 +119,15 @@ def _check_batchnorm(rng: np.random.Generator, tolerance: float) -> GradCheckRep
     b0 = rng.standard_normal(3) * 0.1
     proj = rng.standard_normal(shape)
 
-    def fn(x, g, b):
-        gamma = Parameter(g.copy(), "bn-gamma")
+    def op(g, x, gm, b):
+        gamma = Parameter(gm.copy(), "bn-gamma")
         beta = Parameter(b.copy(), "bn-beta")
         state = ops.BatchNormState.create(3, dtype=np.float64)
         y, cache = ops.batchnorm_forward(Tensor(x), gamma, beta, state, "train")
-        gx = ops.batchnorm_backward(Tensor(proj), cache, gamma, beta)
-        return _projected(y, proj), (gx.data, gamma.grad, beta.grad)
+        gx = ops.batchnorm_backward(g, cache, gamma, beta)
+        return y, (gx.data, gamma.grad, beta.grad)
 
-    return gradcheck(fn, [x0, g0, b0], tolerance=tolerance, name="batchnorm(train)")
+    return _check("batchnorm(train)", tolerance, proj, op, x0, g0, b0)
 
 
 def _check_relu(rng: np.random.Generator, tolerance: float) -> GradCheckReport:
@@ -130,12 +137,11 @@ def _check_relu(rng: np.random.Generator, tolerance: float) -> GradCheckReport:
     x0[np.abs(x0) < 1e-3] += 0.1
     proj = rng.standard_normal(shape)
 
-    def fn(x):
+    def op(g, x):
         y, cache = ops.relu_forward(Tensor(x))
-        gx = ops.relu_backward(Tensor(proj), cache)
-        return _projected(y, proj), (gx.data,)
+        return y, (ops.relu_backward(g, cache).data,)
 
-    return gradcheck(fn, [x0], tolerance=tolerance, name="relu")
+    return _check("relu", tolerance, proj, op, x0)
 
 
 def _check_sigmoid(rng: np.random.Generator, tolerance: float) -> GradCheckReport:
@@ -143,12 +149,11 @@ def _check_sigmoid(rng: np.random.Generator, tolerance: float) -> GradCheckRepor
     x0 = rng.standard_normal(shape) * 2.0
     proj = rng.standard_normal(shape)
 
-    def fn(x):
+    def op(g, x):
         y, cache = ops.sigmoid_forward(Tensor(x))
-        gx = ops.sigmoid_backward(Tensor(proj), cache)
-        return _projected(y, proj), (gx.data,)
+        return y, (ops.sigmoid_backward(g, cache).data,)
 
-    return gradcheck(fn, [x0], tolerance=tolerance, name="sigmoid")
+    return _check("sigmoid", tolerance, proj, op, x0)
 
 
 def _check_upsample(rng: np.random.Generator, tolerance: float) -> GradCheckReport:
@@ -156,12 +161,11 @@ def _check_upsample(rng: np.random.Generator, tolerance: float) -> GradCheckRepo
     x0 = rng.standard_normal(shape)
     proj = rng.standard_normal((2, 2, 6, 8))
 
-    def fn(x):
+    def op(g, x):
         y, cache = ops.bilinear_upsample_2x_forward(Tensor(x))
-        gx = ops.bilinear_upsample_2x_backward(Tensor(proj), cache)
-        return _projected(y, proj), (gx.data,)
+        return y, (ops.bilinear_upsample_2x_backward(g, cache).data,)
 
-    return gradcheck(fn, [x0], tolerance=tolerance, name="bilinear_upsample_2x(half_pixel)")
+    return _check("bilinear_upsample_2x(half_pixel)", tolerance, proj, op, x0)
 
 
 def _check_concat(rng: np.random.Generator, tolerance: float) -> GradCheckReport:
@@ -169,12 +173,12 @@ def _check_concat(rng: np.random.Generator, tolerance: float) -> GradCheckReport
     b0 = rng.standard_normal((2, 3, 4, 4))
     proj = rng.standard_normal((2, 5, 4, 4))
 
-    def fn(a, b):
+    def op(g, a, b):
         y, cache = ops.concat_channels_forward([Tensor(a), Tensor(b)])
-        ga, gb = ops.concat_channels_backward(Tensor(proj), cache)
-        return _projected(y, proj), (ga.data, gb.data)
+        ga, gb = ops.concat_channels_backward(g, cache)
+        return y, (ga.data, gb.data)
 
-    return gradcheck(fn, [a0, b0], tolerance=tolerance, name="concat_channels")
+    return _check("concat_channels", tolerance, proj, op, a0, b0)
 
 
 def run_network_suite(

@@ -8,7 +8,8 @@ conv, `depth` decoder blocks (bilinear 2x, skip concat, two convs), and
 a multi-level fusion stage that progressively merges the deeper decoder
 outputs before two refining convs and the final 1x1 logit conv. Every
 conv is followed by BN and ReLU except the logit conv, which must stay
-unbounded. Units only compose ops: BN and ReLU live in ops.batchnorm_relu_*.
+unbounded. Units only compose ops: each unit calls ops.conv2d_* and then
+the BN+ReLU pair ops.batchnorm_relu_*.
 
 One static node list, built with the layers, drives forward (walk it),
 infer (walk it without caches), backward (replay it in reverse, summing
@@ -104,12 +105,12 @@ class NetworkConfig:
 # ---------------------------------------------------------------------------
 
 class _Conv:
-    def __init__(self, name: str, spec: ConvSpec, rng: np.random.Generator, dtype,
-                 use_bias: bool = True):
+    """The biased 1x1 logit conv, the one conv not followed by BN + ReLU."""
+
+    def __init__(self, name: str, spec: ConvSpec, rng: np.random.Generator, dtype):
         self.name = name
         self.spec = spec
-        self.kernel, bias = init_conv_params(spec, rng, dtype)
-        self.bias = bias if use_bias else None
+        self.kernel, self.bias = init_conv_params(spec, rng, dtype)
         self._cache: ops.Conv2dCache | None = None
 
     def forward(self, x: Tensor, mode: str = "train") -> Tensor:
@@ -122,63 +123,55 @@ class _Conv:
         return ops.conv2d_backward(g, self._cache, self.spec, self.kernel, self.bias)
 
     def infer(self, sources: list[np.ndarray]) -> np.ndarray:
-        """forward in infer mode on channel-major sources; keeps no cache.
-        Only the biased logit conv runs bare: bias-free convs run inside
-        _ConvBnRelu.infer."""
+        """forward in infer mode on channel-major sources; keeps no cache."""
         def add_bias(grid: np.ndarray) -> None:
             grid += self.bias.value[:, None]
         return ops.conv2d_infer(sources, self.spec, self.kernel, add_bias)
 
     def parameters(self) -> dict[str, Parameter]:
-        p = {f"{self.name}.kernel": self.kernel}
-        if self.bias is not None:
-            p[f"{self.name}.bias"] = self.bias
-        return p
+        return {f"{self.name}.kernel": self.kernel, f"{self.name}.bias": self.bias}
 
 
 class _ConvBnRelu:
     """conv 3x3/1x1 -> batchnorm -> relu, the repeated unit of the network:
-    the conv composed with ops.batchnorm_relu_forward/backward.
+    ops.conv2d_* composed with ops.batchnorm_relu_*.
 
     The conv carries no bias: batch normalization's mean subtraction
     absorbs any constant shift, so the parameter would be dead weight.
 
     In training the unit stores two arrays: the conv's input in its tap
-    layout and BN's xhat, from which backward recomputes the ReLU mask.
+    layout (_cache) and BN's xhat (_bn_cache), from which backward
+    recomputes the ReLU mask.
     """
 
     def __init__(self, name: str, spec: ConvSpec, rng: np.random.Generator, dtype):
         self.name = name
-        self.conv = _Conv(name, spec, rng, dtype, use_bias=False)
+        self.spec = spec
+        self.kernel, _ = init_conv_params(spec, rng, dtype)
         self.gamma, self.beta = init_bn_params(spec.out_channels, dtype)
         self.state = ops.BatchNormState.create(spec.out_channels, dtype)
+        self._cache: ops.Conv2dCache | None = None
         self._bn_cache: ops.BatchNormCache | None = None
 
-    @property
-    def spec(self) -> ConvSpec:
-        return self.conv.spec
-
     def forward(self, x: Tensor, mode: str) -> Tensor:
-        y, self._bn_cache = ops.batchnorm_relu_forward(
-            self.conv.forward(x), self.gamma, self.beta, self.state, mode)
+        y, self._cache = ops.conv2d_forward(x, self.spec, self.kernel, None)
+        y, self._bn_cache = ops.batchnorm_relu_forward(y, self.gamma, self.beta, self.state, mode)
         return y
 
     def infer(self, sources: list[np.ndarray]) -> np.ndarray:
         """forward in infer mode on channel-major sources; keeps no cache."""
         return ops.conv2d_infer(
-            sources, self.spec, self.conv.kernel,
+            sources, self.spec, self.kernel,
             lambda grid: ops.batchnorm_relu_infer(grid, self.gamma, self.beta, self.state),
         )
 
     def backward(self, g: Tensor) -> Tensor:
         g = ops.batchnorm_relu_backward(g, self._bn_cache, self.gamma, self.beta)
-        return self.conv.backward(g)
+        return ops.conv2d_backward(g, self._cache, self.spec, self.kernel, None)
 
     def parameters(self) -> dict[str, Parameter]:
-        p = self.conv.parameters()
-        p[f"{self.name}.gamma"] = self.gamma
-        p[f"{self.name}.beta"] = self.beta
-        return p
+        return {f"{self.name}.kernel": self.kernel, f"{self.name}.gamma": self.gamma,
+                f"{self.name}.beta": self.beta}
 
 
 class _Node(NamedTuple):
@@ -214,7 +207,6 @@ class NetworkSummary:
     downsample_factor: int
     center_conv_count: int
     encoder_convs_per_block: int
-    decoder_block_count: int
 
     def table(self) -> str:
         lines = [f"{'name':<18}{'kind':<10}{'in':<16}{'out':<16}{'params':>8}  s  d"]
@@ -326,7 +318,6 @@ class SegETNetwork:
                     self._bn_states[nd.name] = nd.unit.state
 
         self._op_caches: dict[str, object] = {}
-        self._forward_done = False
         self._logits_shape: tuple[int, ...] | None = None
 
     @property
@@ -384,7 +375,6 @@ class SegETNetwork:
             return y
 
         logits = self._walk(batch, step)
-        self._forward_done = True
         self._logits_shape = logits.shape
         return logits
 
@@ -418,7 +408,7 @@ class SegETNetwork:
     def backward(self, grad_logits: Tensor) -> None:
         """Accumulates every registered parameter's gradient; input
         gradients are not exposed."""
-        if not self._forward_done:
+        if self._logits_shape is None:
             raise ValueError("backward requires a preceding forward pass")
         if grad_logits.shape != self._logits_shape:
             raise ValueError(
@@ -478,7 +468,6 @@ class SegETNetwork:
             encoder_convs_per_block=sum(
                 1 for r in rows if r.kind == "conv" and r.name.startswith("enc0.")
             ),
-            decoder_block_count=cfg.depth,
         )
 
 
@@ -500,8 +489,7 @@ def probe_center_branches(net: SegETNetwork, spatial: int = 33) -> list[tuple[in
             np.ones((spec.out_channels, spec.in_channels, spec.kernel, spec.kernel)),
             "conv-kernel",
         )
-        zero_bias = Parameter(np.zeros(spec.out_channels), "conv-bias")
-        y, _ = ops.conv2d_forward(Tensor(x), spec, ones_kernel, zero_bias)
+        y, _ = ops.conv2d_forward(Tensor(x), spec, ones_kernel, None)
         nz = np.nonzero(np.abs(y.data[0, 0]) > 0)
         support_h = int(nz[0].max() - nz[0].min() + 1) if nz[0].size else 0
         support_w = int(nz[1].max() - nz[1].min() + 1) if nz[1].size else 0

@@ -9,13 +9,13 @@ adaptive weighting exists for.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-HEADER_SIZE = 1024
+from .data import mrc_bytes
+
 DEFAULT_CLASSES = ("blob", "tube", "ring")
 NOISE_SIGMA = 10.0   # std of the Gaussian background noise, in int8 grey levels
 
@@ -94,20 +94,6 @@ def generate(cfg: SynthConfig) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     volume += rng.normal(0.0, NOISE_SIGMA, volume.shape)
     volume = np.clip(np.rint(volume), -128, 127).astype(np.int8)
     return volume, masks
-
-
-def mrc_bytes(volume: np.ndarray) -> bytes:
-    """Minimal valid mode-0 MRC: 1024-byte header, no extended header."""
-    v = np.asarray(volume, dtype=np.int8)
-    if v.ndim != 3:
-        raise ValueError("volume must be 3-D (nz, ny, nx)")
-    nz, ny, nx = v.shape
-    header = bytearray(HEADER_SIZE)
-    # mode word at 12 stays 0 (int8); extended-header length at 92 stays 0
-    struct.pack_into("<3i", header, 0, nx, ny, nz)
-    struct.pack_into("<4s", header, 208, b"MAP ")            # conventional stamp
-    struct.pack_into("<4B", header, 212, 0x44, 0x44, 0, 0)   # little-endian machine stamp
-    return bytes(header) + v.tobytes()
 
 
 def write_dataset(cfg: SynthConfig, out_dir: str | Path) -> dict[str, Path]:

@@ -204,6 +204,7 @@ def fit(
     lr_wait = 0
     stop_reason = "epoch_cap"
 
+    net.zero_grads()  # once: Adam.step zeroes the gradients after each step
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.monotonic()
         order = rng.permutation(len(train_patches))
@@ -211,7 +212,6 @@ def fit(
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]  # last partial batch kept
             batch, masks, weights = _as_batch(train_patches, idx, dt, cfg.use_weights)
-            net.zero_grads()
             logits = net.forward(batch, mode="train")
             loss, grad = combined_loss(logits, masks, net.parameters, loss_cfg, weights)
             if not np.isfinite(loss):

@@ -466,6 +466,37 @@ class TestCliPredict:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("bn_updates", -5), ("val_miou", None), ("val_miou", "x"), ("epoch", "one"),
+        ("arrays", [1.0, 1.0, 3.0, 3.0]), ("config", 10**6),
+    ])
+    def test_malformed_checkpoint_header_exits_2_before_writing(
+            self, synth_dir, trained_dir, tmp_path, capsys, key, value):
+        """Each of these used to load, or fail only after the masks were
+        written: negative BN update counts, a non-numeric val mIOU or
+        epoch, float array extents, and a network too large to build."""
+        raw = (trained_dir / "best.ckpt").read_bytes()
+        (hlen,) = struct.unpack_from("<Q", raw, 8)
+        header = json.loads(raw[16 : 16 + hlen])
+        if key == "bn_updates":
+            header[key] = dict.fromkeys(header[key], value)
+        elif key == "arrays":
+            header[key][0]["shape"] = value
+        elif key == "config":
+            header[key]["base_filters"] = value
+        else:
+            header[key] = value
+        blob = json.dumps(header, sort_keys=True).encode()
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen :])
+        out = tmp_path / "pred"
+        rc = cli.main(["predict", "--checkpoint", str(ckpt),
+                       "--volume", str(synth_dir / "volume.mrc"),
+                       "--out-dir", str(out), "--window", "32", "--stride", "32"])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_volume_exits_2(self, synth_dir, trained_dir, tmp_path, capsys):
         """A NaN voxel is refused, not predicted as finite garbage."""
         out = tmp_path / "pred"

@@ -1,6 +1,7 @@
 """Network topology, shape contracts, backward wiring, describe(),
 probes, and the checkpoint container."""
 
+import hashlib
 import json
 import struct
 
@@ -234,7 +235,7 @@ class TestInfer:
 
         def state(net):
             convs = [nd.unit for nd in net._nodes if nd.kind == "conv"]
-            caches = [getattr(u, "conv", u)._cache for u in convs]
+            caches = [u._cache for u in convs]
             caches += [getattr(u, "_bn_cache", None) for u in convs]
             stats = [(st.running_mean.copy(), st.running_var.copy(), st.num_updates)
                      for st in net.bn_states.values()]
@@ -289,7 +290,7 @@ class TestConvBnReluUnit:
         others are random with random gamma and beta."""
         rng = np.random.default_rng(seed)
         unit = _ConvBnRelu("u", ConvSpec(3, 6), rng, dtype)
-        unit.conv.kernel.value[:2] = 0.0
+        unit.kernel.value[:2] = 0.0
         unit.gamma.value[:] = rng.standard_normal(6)
         unit.beta.value[:] = rng.standard_normal(6)
         unit.beta.value[:2] = (0.0, 0.5)
@@ -320,7 +321,7 @@ class TestConvBnReluUnit:
             if reference:
                 gr = ops.relu_backward(g, out > 0)
                 gr = ops.batchnorm_backward(gr, unit._bn_cache, unit.gamma, unit.beta)
-                gx = unit.conv.backward(gr)
+                gx = ops.conv2d_backward(gr, unit._cache, unit.spec, unit.kernel, None)
             else:
                 gx = unit.backward(g)
             results.append([gx.data] + [p.grad.copy() for p in unit.parameters().values()])
@@ -334,7 +335,8 @@ class TestDescribe:
         assert summary.downsample_factor == 16
         assert summary.center_conv_count == 7
         assert summary.encoder_convs_per_block == 4
-        assert summary.decoder_block_count == 4
+        names = [r.name for r in summary.rows]
+        assert sum(n.startswith("dec") and n.endswith(".c1") for n in names) == 4
 
     def test_totals_equal_registry(self):
         net = build(SMALL)
@@ -540,6 +542,79 @@ class TestCheckpoint:
         save_checkpoint(path, build(TINY), 0, 0.0)
         self._with_config_echo(path, **{**self.LEGACY_ECHO, key: value})
         with pytest.raises(DataFormatError, match=key):
+            load_checkpoint(path)
+
+    # the checkpoint format and the registry order, pinned: a fresh depth-3
+    # network (every kind of unit) at seed 3, saved at epoch 1, val mIOU 0.5
+    GOLDEN_CONFIG = NetworkConfig(base_filters=1, depth=3, dilation_rates=(1, 2))
+    GOLDEN_SHA256 = "6015e1e77b233a138d351ef6fb124e28e990ce14d2ea93f78d4dab1752bd54a3"
+    GOLDEN_UNITS = [
+        *[f"enc{i}.c{j}" for i in range(3) for j in range(1, 5)],
+        "center.c1", "center.c2", "center.b0", "center.b1", "center.reduce",
+        *[f"dec{i}.c{j}" for i in range(3) for j in (1, 2)],
+        "fuse1.c", "head.c1", "head.c2",
+    ]
+
+    def test_checkpoint_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "golden.ckpt"
+        save_checkpoint(path, build(self.GOLDEN_CONFIG, seed=3), 1, 0.5)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.GOLDEN_SHA256
+
+    def test_registry_order_is_pinned(self):
+        names = [f"{u}.{p}" for u in self.GOLDEN_UNITS for p in ("kernel", "gamma", "beta")]
+        names += ["head.logit.kernel", "head.logit.bias"]
+        assert list(build(self.GOLDEN_CONFIG).parameters) == names
+
+    # (key named by the refusal, path to the value in the header, value)
+    MALFORMED_VALUES = [
+        *[("bn_updates", ("bn_updates", "enc0.c1"), v) for v in (-5, 2.7, True, "3", None)],
+        *[("val_miou", ("val_miou",), v)
+          for v in (None, "x", True, float("nan"), float("inf"), [0.5])],
+        *[("epoch", ("epoch",), v) for v in ("one", -1, 1.0, False, None)],
+        *[("arrays", ("arrays", 0, "shape"), v)
+          for v in ([1.0, 1.0, 3.0, 3.0], [1, 1, 3, -3], [True, 1, 3, 3], "1133", 9)],
+        ("arrays", ("arrays", 0, "name"), ["enc0.c1.kernel"]),
+        ("config", ("config", "base_filters"), 1.0),
+        ("config", ("config", "base_filters"), True),
+        ("config", ("config", "depth"), True),
+        ("config", ("config", "dilation_rates"), [1.5]),
+        ("config", ("config", "dilation_rates"), [True]),
+    ]
+
+    @pytest.mark.parametrize("key, where, value", MALFORMED_VALUES)
+    def test_rejects_a_malformed_header_value(self, tmp_path, key, where, value):
+        """A value of the wrong type or range is refused, naming its key,
+        rather than loaded as something else or failing later."""
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(path, build(NetworkConfig(base_filters=1, depth=1, dilation_rates=(1,))),
+                        epoch=1, val_miou=0.5)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack_from("<Q", raw, 8)
+        header = json.loads(raw[16 : 16 + hlen])
+        parent = header
+        for step in where[:-1]:
+            parent = parent[step]
+        parent[where[-1]] = value
+        self._with_header(path, json.dumps(header, sort_keys=True).encode())
+        with pytest.raises(DataFormatError, match=key):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("base, depth", [(10**6, 1), (16, 40), (16, 9), (1, 10**9)])
+    def test_refuses_a_network_larger_than_the_payload_before_building_it(
+            self, tmp_path, monkeypatch, base, depth):
+        import seget.checkpoint as checkpoint
+
+        path = tmp_path / "huge.ckpt"
+        save_checkpoint(path, build(TINY), 0, 0.0)
+
+        def build_refused(config, seed=0):
+            raise AssertionError("build called")
+
+        monkeypatch.setattr(checkpoint, "build", build_refused)
+        with pytest.raises(AssertionError, match="build called"):  # the check is not vacuous
+            load_checkpoint(path)
+        self._with_config_echo(path, base_filters=base, depth=depth)
+        with pytest.raises(DataFormatError, match="more parameters"):
             load_checkpoint(path)
 
     def test_rejects_header_missing_a_key(self, tmp_path):
