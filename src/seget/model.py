@@ -13,9 +13,11 @@ the BN+ReLU pair ops.batchnorm_relu_*.
 
 One static node list, built with the layers, drives forward (walk it),
 infer (walk it without caches), backward (replay it in reverse, summing
-fan-out gradients per slot) and describe() (propagate shapes only).
-Forward caches are held per layer and per node and stay valid until the
-next forward, so repeated backward calls accumulate gradients
+fan-out gradients per slot) and describe() (propagate shapes only). A
+concat node's value is the list of its inputs' values, which the conv
+reading it takes as its sources, so no concat op runs in any walk.
+Forward caches are held per layer and per upsample node and stay valid
+until the next forward, so repeated backward calls accumulate gradients
 additively; infer leaves them alone. Both forward and infer keep
 activations channel-major in memory (see ops); the Tensors of forward
 and backward still have NCHW shapes.
@@ -113,20 +115,20 @@ class _Conv:
         self.kernel, self.bias = init_conv_params(spec, rng, dtype)
         self._cache: ops.Conv2dCache | None = None
 
-    def forward(self, x: Tensor, mode: str = "train") -> Tensor:
+    def forward(self, x: Tensor | list[Tensor], mode: str = "train") -> Tensor:
         """mode is accepted for a uniform unit interface; a bare conv
         behaves the same in train and infer mode."""
         y, self._cache = ops.conv2d_forward(x, self.spec, self.kernel, self.bias)
         return y
 
-    def backward(self, g: Tensor) -> Tensor:
+    def backward(self, g: Tensor) -> Tensor | list[Tensor]:
         return ops.conv2d_backward(g, self._cache, self.spec, self.kernel, self.bias)
 
-    def infer(self, sources: list[np.ndarray]) -> np.ndarray:
-        """forward in infer mode on channel-major sources; keeps no cache."""
+    def infer(self, x: np.ndarray | list[np.ndarray]) -> np.ndarray:
+        """forward in infer mode on channel-major input; keeps no cache."""
         def add_bias(grid: np.ndarray) -> None:
             grid += self.bias.value[:, None]
-        return ops.conv2d_infer(sources, self.spec, self.kernel, add_bias)
+        return ops.conv2d_infer(x, self.spec, self.kernel, add_bias)
 
     def parameters(self) -> dict[str, Parameter]:
         return {f"{self.name}.kernel": self.kernel, f"{self.name}.bias": self.bias}
@@ -153,19 +155,19 @@ class _ConvBnRelu:
         self._cache: ops.Conv2dCache | None = None
         self._bn_cache: ops.BatchNormCache | None = None
 
-    def forward(self, x: Tensor, mode: str) -> Tensor:
+    def forward(self, x: Tensor | list[Tensor], mode: str) -> Tensor:
         y, self._cache = ops.conv2d_forward(x, self.spec, self.kernel, None)
         y, self._bn_cache = ops.batchnorm_relu_forward(y, self.gamma, self.beta, self.state, mode)
         return y
 
-    def infer(self, sources: list[np.ndarray]) -> np.ndarray:
-        """forward in infer mode on channel-major sources; keeps no cache."""
+    def infer(self, x: np.ndarray | list[np.ndarray]) -> np.ndarray:
+        """forward in infer mode on channel-major input; keeps no cache."""
         return ops.conv2d_infer(
-            sources, self.spec, self.kernel,
+            x, self.spec, self.kernel,
             lambda grid: ops.batchnorm_relu_infer(grid, self.gamma, self.beta, self.state),
         )
 
-    def backward(self, g: Tensor) -> Tensor:
+    def backward(self, g: Tensor) -> Tensor | list[Tensor]:
         g = ops.batchnorm_relu_backward(g, self._bn_cache, self.gamma, self.beta)
         return ops.conv2d_backward(g, self._cache, self.spec, self.kernel, None)
 
@@ -317,7 +319,7 @@ class SegETNetwork:
                 if isinstance(nd.unit, _ConvBnRelu):
                     self._bn_states[nd.name] = nd.unit.state
 
-        self._op_caches: dict[str, object] = {}
+        self._op_caches: dict[str, tuple[int, int, int, int]] = {}  # per upsample node
         self._logits_shape: tuple[int, ...] | None = None
 
     @property
@@ -334,10 +336,10 @@ class SegETNetwork:
 
     # -- forward -----------------------------------------------------------
 
-    def _walk(self, first, step: Callable[[_Node, list], object]):
-        """Runs step(node, input values) over the node list, slot 0 holding
-        `first`; each slot is released after its last reader. Returns the
-        last node's value."""
+    def _walk(self, first, step: Callable[[_Node, object], object]):
+        """Slot 0 holds `first`; step(node, input value) gives each conv's and
+        upsample's value, and a concat's is the list of its input values.
+        Slots are freed after their last reader; returns the last value."""
         readers = Counter(s for nd in self._nodes for s in nd.inputs)
         slots = {0: first}
         for nd in self._nodes:
@@ -346,7 +348,7 @@ class SegETNetwork:
                 readers[s] -= 1
                 if not readers[s]:
                     del slots[s]
-            slots[nd.output] = step(nd, xs)
+            slots[nd.output] = xs if nd.kind == "concat" else step(nd, xs[0])
         return slots[self._nodes[-1].output]
 
     def _check_batch(self, batch: Tensor) -> None:
@@ -365,13 +367,10 @@ class SegETNetwork:
         backward needs."""
         self._check_batch(batch)
 
-        def step(nd: _Node, xs: list[Tensor]) -> Tensor:
+        def step(nd: _Node, x: Tensor | list[Tensor]) -> Tensor:
             if nd.kind == "conv":
-                return nd.unit.forward(xs[0], mode)
-            if nd.kind == "upsample":
-                y, self._op_caches[nd.name] = ops.bilinear_upsample_2x_forward(xs[0])
-            else:
-                y, self._op_caches[nd.name] = ops.concat_channels_forward(xs)
+                return nd.unit.forward(x, mode)
+            y, self._op_caches[nd.name] = ops.bilinear_upsample_2x_forward(x)
             return y
 
         logits = self._walk(batch, step)
@@ -385,20 +384,14 @@ class SegETNetwork:
 
         Activations stay channel-major (C, N, H, W) from the first conv to
         the logits. A conv's output is a view of its GEMM grid, on which BN
-        and ReLU run in place; a concat hands its sources on as a list,
-        which the consuming conv copies straight into its tap layout.
+        and ReLU run in place.
         """
         self._check_batch(batch)
 
-        def sources(xs: list) -> list[np.ndarray]:
-            return [a for x in xs for a in (x if isinstance(x, list) else [x])]
-
-        def step(nd: _Node, xs: list):
+        def step(nd: _Node, x: np.ndarray | list[np.ndarray]) -> np.ndarray:
             if nd.kind == "conv":
-                return nd.unit.infer(sources(xs))
-            if nd.kind == "upsample":
-                return ops.bilinear_upsample_2x_infer(xs[0])
-            return sources(xs)
+                return nd.unit.infer(x)
+            return ops.bilinear_upsample_2x_infer(x)
 
         logits = self._walk(batch.data.transpose(1, 0, 2, 3), step)
         return np.ascontiguousarray(logits.transpose(1, 0, 2, 3))
@@ -425,8 +418,8 @@ class SegETNetwork:
                 g_in = [nd.unit.backward(g)]
             elif nd.kind == "upsample":
                 g_in = [ops.bilinear_upsample_2x_backward(g, self._op_caches[nd.name])]
-            else:
-                g_in = ops.concat_channels_backward(g, self._op_caches[nd.name])
+            else:  # its one reader, a conv, returned the list of its inputs' gradients
+                g_in = g
             for s, gs in zip(nd.inputs, g_in):
                 grads.setdefault(s, []).append(gs)
 

@@ -12,10 +12,13 @@ A Tensor's shape is always (N, C, H, W), but its memory may be either
 layout: C-contiguous NCHW, or channel-major, the (1, 0, 2, 3) transpose
 of a (C, N, H, W) array (possibly a cropped view of one). Every op
 accepts either. The conv and BN ops return channel-major Tensors, and
-upsample and concat work on the channel-major view and keep the layout
-they are given, so a training forward and backward keep every
-activation and gradient channel-major in memory from the first conv
-on, the layout the conv's tap GEMMs read and write.
+upsample works on the channel-major view and keeps the layout it is
+given, so a training forward and backward keep every activation and
+gradient channel-major in memory from the first conv on, the layout the
+conv's tap GEMMs read and write. No concat runs on either path: the
+convs also take a list of sources, read as one input stacked along
+channels, and conv2d_backward then returns one gradient per source;
+concat_channels_* are reference ops.
 
 The network's conv -> BN -> ReLU unit is conv2d_* then the pair
 batchnorm_relu_forward/backward; _bn_affine, gamma * xhat + beta, is
@@ -177,6 +180,7 @@ class Conv2dCache:
     padded: np.ndarray            # zero-padded input in the tap layout, (s, s, C, L)
     input_shape: tuple[int, int, int, int]
     spec: ConvSpec                # the backward takes the geometry from _geometry
+    split: tuple[int, ...] | None  # channels per source of a list input, None for one Tensor
 
 
 def _same_padding(h: int, w: int, spec: ConvSpec) -> tuple[int, int, int, int, int, int]:
@@ -286,6 +290,17 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
         np.matmul(a, b, out=out)
 
 
+def _check_stackable(sources: list[np.ndarray]) -> None:
+    """Channel-major (C_k, N, H, W) arrays stacked along channels must
+    share N, H and W; the error names both NCHW shapes."""
+    if not sources:
+        raise ValueError("a channel stack requires at least one input")
+    for src in sources[1:]:
+        if src.shape[1:] != sources[0].shape[1:]:
+            a, b = ((x.shape[1], x.shape[0], *x.shape[2:]) for x in (sources[0], src))
+            raise ValueError(f"stacked inputs must share N,H,W: got {a} and {b}")
+
+
 def _tap_layout(sources: list[np.ndarray], spec: ConvSpec,
                 kernel: np.ndarray) -> tuple[np.ndarray, _Geometry]:
     """The conv input in the tap layout, with the geometry of the tap loop.
@@ -294,6 +309,7 @@ def _tap_layout(sources: list[np.ndarray], spec: ConvSpec,
     stacked along channels in order, so a channel concat costs nothing
     beyond the copy into the layout that every conv makes anyway.
     """
+    _check_stackable(sources)
     _, n, h, w = sources[0].shape
     c = sum(src.shape[0] for src in sources)
     if c != spec.in_channels:
@@ -343,36 +359,40 @@ def _crop(grid: np.ndarray, n: int, geo: _Geometry) -> np.ndarray:
 
 
 def conv2d_forward(
-    x: Tensor, spec: ConvSpec, kernel: Parameter, bias: Parameter | None
+    x: Tensor | list[Tensor], spec: ConvSpec, kernel: Parameter, bias: Parameter | None
 ) -> tuple[Tensor, Conv2dCache]:
     """Dilated cross-correlation with "same" zero padding, plus bias.
 
-    bias may be None for bias-free convolutions (a conv feeding straight
-    into batch normalization has its bias absorbed by the mean shift).
-    Runs as the tap loop described above; the cache keeps the input in
-    the tap layout for the backward pass. The output is channel-major, a
-    view of the cropped output grid.
+    x is one Tensor, or a list of Tensors read as one input stacked along
+    channels. bias may be None (batch normalization's mean shift absorbs
+    the bias of a conv feeding it). Runs as the tap loop described above;
+    the cache keeps the input in the tap layout for the backward pass.
+    The output is channel-major, a view of the cropped output grid.
     """
-    layout, geo = _tap_layout([x.data.transpose(1, 0, 2, 3)], spec, kernel.value)
-    n = x.shape[0]
+    sources = x if isinstance(x, list) else [x]
+    layout, geo = _tap_layout([t.data.transpose(1, 0, 2, 3) for t in sources], spec, kernel.value)
+    n, _, h, w = sources[0].shape
     grid = _tap_gemm(layout, n, geo, kernel.value)
     if bias is not None:
         grid += bias.value[:, None]
-    return Tensor(_crop(grid, n, geo).transpose(1, 0, 2, 3)), Conv2dCache(layout, x.shape, spec)
+    split = tuple(t.shape[1] for t in x) if isinstance(x, list) else None
+    return (Tensor(_crop(grid, n, geo).transpose(1, 0, 2, 3)),
+            Conv2dCache(layout, (n, spec.in_channels, h, w), spec, split))
 
 
 def conv2d_infer(
-    sources: list[np.ndarray], spec: ConvSpec, kernel: Parameter,
+    x: np.ndarray | list[np.ndarray], spec: ConvSpec, kernel: Parameter,
     epilogue: Callable[[np.ndarray], None],
 ) -> np.ndarray:
-    """conv2d_forward without bias and cache, on channel-major sources
-    (C_k, N, H, W) stacked along channels in order; the result is a
-    channel-major (OC, N, OH, OW) view of the output grid.
+    """conv2d_forward without bias and cache, on channel-major arrays
+    (C, N, H, W), one or a list; the result is a channel-major
+    (OC, N, OH, OW) view of the output grid.
 
     epilogue runs in place on the whole grid (OC, columns) before the
     crop: a per-channel elementwise map such as a bias add or
     batchnorm_relu_infer, whose values on the cropped columns are unused.
     """
+    sources = x if isinstance(x, list) else [x]
     layout, geo = _tap_layout(sources, spec, kernel.value)
     n = sources[0].shape[1]
     grid = _tap_gemm(layout, n, geo, kernel.value)
@@ -386,24 +406,20 @@ def conv2d_backward(
     spec: ConvSpec,
     kernel: Parameter,
     bias: Parameter | None,
-) -> Tensor:
+) -> Tensor | list[Tensor]:
     """Gradient wrt the conv input; accumulates kernel.grad and bias.grad.
 
-    The shifted-stack backward described above: grad_out is zero-extended
-    onto the output grid, so the cropped grid columns contribute nothing,
-    and per tap-layout phase and block of layout columns it is copied
-    once into the stack S of the phase's live taps; then
+    The shifted-stack backward described above: per tap-layout phase and
+    block of layout columns, grad_out, zero-extended onto the output
+    grid, is copied once into the stack S of the phase's live taps; then
 
     - kernel gradients of the phase's taps += S @ phase[:, block].T;
     - the layout gradient of the block = K_stack.T @ S, written in place.
 
-    Every block holds a multiple of _COL_QUANTUM columns (the last one
-    zero-extended), so the bits do not depend on the BLAS thread count.
-    The input gradient is the layout gradient without its padding: with
-    stride 1 a channel-major view of it, with stride 2 a channel-major
-    Tensor gathered from its phases. Skipped (dead) taps read only zeros,
-    so their kernel gradient is 0 and their input gradient lands in the
-    padding.
+    The input gradient is the layout gradient without its padding (see
+    above): one Tensor, or after a forward on a list one per source, its
+    channel rows. Skipped (dead) taps read only zeros, so their kernel
+    gradient is 0 and their input gradient lands in the padding.
     """
     if cache is None:
         raise ValueError("conv2d_backward requires the forward cache (run forward first)")
@@ -466,7 +482,9 @@ def conv2d_backward(
         gx = np.empty((c, n, h, w), dtype=dtype)
         for dst, view in _phase_views(glayout, n, geo):
             gx[(slice(None), slice(None), *dst)] = view
-    return Tensor(gx.transpose(1, 0, 2, 3))
+    if cache.split is None:
+        return Tensor(gx.transpose(1, 0, 2, 3))
+    return [Tensor(p.transpose(1, 0, 2, 3)) for p in np.split(gx, np.cumsum(cache.split)[:-1])]
 
 
 # ---------------------------------------------------------------------------
@@ -747,18 +765,11 @@ def bilinear_upsample_2x_backward(grad_out: Tensor,
 
 def concat_channels_forward(inputs: list[Tensor]) -> tuple[Tensor, list[int]]:
     """Stack along the channel axis in argument order, which is the leading
-    axis of the channel-major memory."""
-    if not inputs:
-        raise ValueError("concat_channels requires at least one input")
-    first = inputs[0].shape
-    for t in inputs[1:]:
-        if (t.shape[0],) + t.shape[2:] != (first[0],) + first[2:]:
-            raise ValueError(
-                f"concat inputs must share N,H,W: got {first} and {t.shape}"
-            )
-    channels = [t.shape[1] for t in inputs]
-    out = np.concatenate([t.data.transpose(1, 0, 2, 3) for t in inputs])
-    return Tensor(out.transpose(1, 0, 2, 3)), channels
+    axis of the channel-major memory. A reference op for gradcheck, the
+    tests and perfbench: the network's convs read their sources directly."""
+    sources = [t.data.transpose(1, 0, 2, 3) for t in inputs]
+    _check_stackable(sources)
+    return Tensor(np.concatenate(sources).transpose(1, 0, 2, 3)), [t.shape[1] for t in inputs]
 
 
 def concat_channels_backward(grad_out: Tensor, channels: list[int] | None) -> list[Tensor]:

@@ -42,6 +42,34 @@ def test_conv_passes_at_1e4():
     assert report.passed
 
 
+@pytest.mark.parametrize("spec, shape", [
+    (ConvSpec(5, 3), (2, 6, 6)),
+    (ConvSpec(5, 3, stride=2), (2, 7, 6)),
+    (ConvSpec(5, 2, kernel=1), (2, 5, 5)),
+])
+def test_two_source_conv_passes(spec, shape):
+    """A conv on a list of two sources: each source's gradient, the kernel
+    gradient and the bias gradient against central differences."""
+    rng = np.random.default_rng(7)
+    n, h, w = shape
+    a0 = rng.standard_normal((n, 2, h, w))
+    b0 = rng.standard_normal((n, 3, h, w))
+    k0 = rng.standard_normal((spec.out_channels, 5, spec.kernel, spec.kernel))
+    c0 = rng.standard_normal(spec.out_channels)
+    proj = rng.standard_normal((n, spec.out_channels, *spec.out_spatial(h, w)))
+
+    def op(g, a, b, k, c):
+        kernel = Parameter(k.copy(), "conv-kernel", regularized=True)
+        bias = Parameter(c.copy(), "conv-bias")
+        y, cache = ops.conv2d_forward([Tensor(a), Tensor(b)], spec, kernel, bias)
+        ga, gb = ops.conv2d_backward(g, cache, spec, kernel, bias)
+        return y, (ga.data, gb.data, kernel.grad, bias.grad)
+
+    report = gc._check(f"conv2d[a, b] s{spec.stride} k{spec.kernel}", gc.DEFAULT_TOLERANCE,
+                       proj, op, a0, b0, k0, c0)
+    assert report.passed, report.line()
+
+
 def test_corrupted_kernel_grad_fails():
     """Scaling the kernel gradient by 1.01 must be detected."""
     rng = np.random.default_rng(1)

@@ -166,6 +166,51 @@ class TestBackward:
         with pytest.raises(ValueError, match="does not match"):
             net.backward(Tensor(np.zeros((1, 1, 4, 4))))
 
+    def test_training_walk_runs_no_concat(self, monkeypatch):
+        """A train-mode forward and backward of a depth-4 net call no concat
+        op; their logits and gradients equal, bit for bit, an unpatched
+        run's and those of a walk that concatenates each conv's sources
+        with the reference concat ops first."""
+        cfg = NetworkConfig(base_filters=3, depth=4, dilation_rates=(1, 2, 4, 8))
+
+        def run():
+            net = build(cfg, seed=2)
+            y = net.forward(rand_input(cfg, n=2, seed=3), mode="train")
+            g = np.random.default_rng(4).standard_normal(y.shape).astype(y.data.dtype)
+            net.zero_grads()
+            net.backward(Tensor(g))
+            return [y.data] + [p.grad.copy() for p in net.parameters.values()]
+
+        def refuse(*args):
+            raise AssertionError("a concat op ran")
+
+        fwd, bwd = ops.conv2d_forward, ops.conv2d_backward
+
+        def concat_then_forward(x, spec, kernel, bias):
+            if not isinstance(x, list):
+                return fwd(x, spec, kernel, bias)
+            x, channels = ops.concat_channels_forward(x)
+            y, cache = fwd(x, spec, kernel, bias)
+            return y, (cache, channels)
+
+        def backward_then_split(g, cache, spec, kernel, bias):
+            if not isinstance(cache, tuple):
+                return bwd(g, cache, spec, kernel, bias)
+            return ops.concat_channels_backward(bwd(g, cache[0], spec, kernel, bias), cache[1])
+
+        unpatched = run()
+        with monkeypatch.context() as m:
+            m.setattr(ops, "concat_channels_forward", refuse)
+            m.setattr(ops, "concat_channels_backward", refuse)
+            patched = run()
+        with monkeypatch.context() as m:
+            m.setattr(ops, "conv2d_forward", concat_then_forward)
+            m.setattr(ops, "conv2d_backward", backward_then_split)
+            concatenated = run()
+        for a, b, c in zip(unpatched, patched, concatenated):
+            assert a.dtype == b.dtype == c.dtype
+            assert a.tobytes() == b.tobytes() == c.tobytes()
+
     def test_everything_finite_after_forward_backward(self):
         cfg = NetworkConfig(base_filters=4, depth=3)
         net = build(cfg, seed=8)

@@ -3,6 +3,7 @@ backward passes against finite differences, and the type invariants."""
 
 import copy
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -153,6 +154,29 @@ class TestConv2dForward:
         with pytest.raises(ValueError, match="2 channels.*in_channels=3"):
             ops.conv2d_forward(Tensor(np.zeros((1, 2, 4, 4))), spec, kernel, bias)
 
+    @pytest.mark.parametrize("other", [(1, 1, 6, 6), (2, 1, 5, 6), (2, 1, 6, 1)],
+                             ids=["N", "H", "W"])
+    def test_sources_that_differ_in_n_h_or_w_are_refused(self, other):
+        """Both conv entry points refuse a list of sources whose N, H or W
+        differ, instead of broadcasting a 1-sample, 1-row or 1-column one."""
+        spec = ConvSpec(3, 2)
+        kernel, _ = make_conv(spec, np.ones((2, 3, 3, 3)))
+        a, b = np.ones((2, 2, 6, 6)), np.ones(other)
+        match = r"must share N,H,W: got \(2, 2, 6, 6\) and " + re.escape(str(other))
+        with pytest.raises(ValueError, match=match):
+            ops.conv2d_forward([Tensor(a), Tensor(b)], spec, kernel, None)
+        with pytest.raises(ValueError, match=match):
+            ops.conv2d_infer([a.transpose(1, 0, 2, 3), b.transpose(1, 0, 2, 3)], spec, kernel,
+                             lambda grid: None)
+
+    def test_an_empty_source_list_is_refused(self):
+        spec = ConvSpec(3, 2)
+        kernel, _ = make_conv(spec, np.ones((2, 3, 3, 3)))
+        with pytest.raises(ValueError, match="at least one input"):
+            ops.conv2d_forward([], spec, kernel, None)
+        with pytest.raises(ValueError, match="at least one input"):
+            ops.conv2d_infer([], spec, kernel, lambda grid: None)
+
     def test_same_padding_shape_contract(self):
         """Output extent equals ceil(extent/stride) for every extent in [1, 64]."""
         rng = np.random.default_rng(0)
@@ -184,18 +208,23 @@ class TestConv2dForward:
         assert np.max(np.abs(lhs.data - rhs) / denom) < 1e-10
 
 
+# (spec, N, H, W, channels per source) of a conv on a list of sources
+_MULTI_SOURCE_CASES = [
+    (ConvSpec(5, 4), 3, 9, 7, (2, 3)),
+    (ConvSpec(24, 8), 2, 16, 16, (8, 8, 8)),             # deep enough to read in place
+    (ConvSpec(6, 3, stride=2), 2, 10, 7, (1, 5)),
+    (ConvSpec(12, 5, dilation=8), 2, 8, 8, (4, 8)),      # one live tap of nine
+    (ConvSpec(40, 16, kernel=1), 12, 16, 16, (16, 16, 8)),  # several column blocks
+    (ConvSpec(1, 4), 1, 6, 10, (1,)),                    # a list of one
+    (ConvSpec(6, 3, stride=2), 2, 9, 9, (2, 1, 3)),
+]
+
+
 class TestConv2dInfer:
     """The cache-free conv reads channel-major sources as one stacked input
     and gives conv2d_forward's bits."""
 
-    @pytest.mark.parametrize("spec, n, h, w, split", [
-        (ConvSpec(5, 4), 3, 9, 7, (2, 3)),
-        (ConvSpec(24, 8), 2, 16, 16, (8, 8, 8)),             # deep enough to read in place
-        (ConvSpec(6, 3, stride=2), 2, 10, 7, (1, 5)),
-        (ConvSpec(12, 5, dilation=8), 2, 8, 8, (4, 8)),      # one live tap of nine
-        (ConvSpec(40, 16, kernel=1), 12, 16, 16, (16, 16, 8)),  # several column blocks
-        (ConvSpec(1, 4), 1, 6, 10, (1,)),
-    ])
+    @pytest.mark.parametrize("spec, n, h, w, split", _MULTI_SOURCE_CASES)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_multi_source_equals_forward_on_concatenation(self, spec, n, h, w, split, dtype):
         rng = np.random.default_rng(sum(split) + n)
@@ -265,6 +294,38 @@ class TestConv2dBackward:
         once = kernel.grad.copy()
         ops.conv2d_backward(g, cache, spec, kernel, bias)
         np.testing.assert_allclose(kernel.grad, 2 * once)
+
+    @pytest.mark.parametrize("spec, n, h, w, split", _MULTI_SOURCE_CASES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_multi_source_equals_single_input_on_concatenation(self, spec, n, h, w, split,
+                                                               dtype):
+        """A list of sources gives the forward and the kernel and bias
+        gradients of the concatenated input, bit for bit, and one input
+        gradient per source with the bits of its channels of the
+        concatenated input's gradient."""
+        rng = np.random.default_rng(sum(split) + n)
+        parts = [rng.standard_normal((n, c, h, w)).astype(dtype) for c in split]
+        k0 = rng.standard_normal((spec.out_channels, spec.in_channels, spec.kernel, spec.kernel))
+        b0 = rng.standard_normal(spec.out_channels)
+        g = rng.standard_normal((n, spec.out_channels, *spec.out_spatial(h, w))).astype(dtype)
+        results = []
+        for x in (Tensor(np.concatenate(parts, axis=1)), [Tensor(a) for a in parts]):
+            kernel, bias = make_conv(spec, k0, b0)
+            kernel.value, bias.value = k0.astype(dtype), b0.astype(dtype)
+            y, cache = ops.conv2d_forward(x, spec, kernel, bias)
+            gx = ops.conv2d_backward(Tensor(g), cache, spec, kernel, bias)
+            results.append((y.data, gx, kernel.grad, bias.grad))
+        (y1, gx1, gk1, gb1), (y2, gx2, gk2, gb2) = results
+        assert isinstance(gx1, Tensor) and isinstance(gx2, list) and len(gx2) == len(split)
+        assert y2.dtype == y1.dtype == dtype
+        for a, b in [(y1, y2), (gk1, gk2), (gb1, gb2)]:
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        c0 = 0
+        for part, piece in zip(parts, gx2):
+            want = gx1.data[:, c0 : c0 + part.shape[1]]
+            assert piece.shape == part.shape and piece.data.dtype == dtype
+            assert np.array_equal(piece.data, want)
+            c0 += part.shape[1]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -414,9 +475,16 @@ class TestConvScratchMemory:
         grids = []
         sources = [x[: c // 2], x[c // 2 :]] if c > 1 else [x]
         z = ops.conv2d_infer(sources, spec, kernel, lambda grid: grids.append(grid.copy()))
+        # the same halves as a list of sources for the training conv
+        kernel2 = Parameter(kernel.value.copy(), "conv-kernel", regularized=True)
+        y2, cache2 = ops.conv2d_forward([Tensor(a.transpose(1, 0, 2, 3)) for a in sources],
+                                        spec, kernel2, None)
+        gx2 = ops.conv2d_backward(Tensor(g), cache2, spec, kernel2, None)
         return {"forward": y.data, "layout": cache.padded, "input grad": gx.data,
                 "kernel grad": kernel.grad, "bias grad": bias.grad, "infer": z,
-                "infer grid": grids[0]}
+                "infer grid": grids[0], "sources forward": y2.data,
+                "sources layout": cache2.padded, "sources kernel grad": kernel2.grad,
+                **{f"source {i} grad": piece.data for i, piece in enumerate(gx2)}}
 
     @pytest.mark.parametrize("spec, shape", _SCRATCH_CASES)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -449,13 +517,20 @@ class TestConvAliasing:
             gx = ops.conv2d_backward(Tensor(rng.standard_normal(y.shape)), cache, spec,
                                      kernel, None)
             z = ops.conv2d_infer([x], spec, kernel, lambda grid: None)
-            return [y.data, cache.padded, gx.data, z]
+            # the same input as two sources, whose gradients are two pieces
+            y2, cache2 = ops.conv2d_forward([Tensor(x[:1].transpose(1, 0, 2, 3)),
+                                             Tensor(x[1:].transpose(1, 0, 2, 3))],
+                                            spec, kernel, None)
+            ga, gb = ops.conv2d_backward(Tensor(rng.standard_normal(y.shape)), cache2, spec,
+                                         kernel, None)
+            return [y.data, cache.padded, gx.data, z, y2.data, cache2.padded, ga.data, gb.data]
 
         first = call()
         kept = [a.copy() for a in first]
         if spec.stride == 1 and spec.kernel == 3:
-            # the input gradient is a view of the padded layout gradient
-            assert first[2].strides[2] > first[2].shape[3] * first[2].itemsize
+            # input gradients are views of the padded layout gradient
+            for gx in (first[2], first[6], first[7]):
+                assert gx.strides[2] > gx.shape[3] * gx.itemsize
         second = call()
         for a, b, c in zip(first, kept, second):
             assert np.array_equal(a, b)
