@@ -12,15 +12,15 @@ unbounded. Units only compose ops: each unit calls ops.conv2d_* and then
 the BN+ReLU pair ops.batchnorm_relu_*.
 
 One static node list, built with the layers, drives forward (walk it),
-infer (walk it without caches), backward (replay it in reverse, summing
-fan-out gradients per slot) and describe() (propagate shapes only). A
-concat node's value is the list of its inputs' values, which the conv
-reading it takes as its sources, so no concat op runs in any walk.
-Forward caches are held per layer and per upsample node and stay valid
-until the next forward, so repeated backward calls accumulate gradients
-additively; infer leaves them alone. Both forward and infer keep
-activations channel-major in memory (see ops); the Tensors of forward
-and backward still have NCHW shapes.
+infer (walk it through the same ops, dropping their caches), backward
+(replay it in reverse, summing fan-out gradients per slot) and
+describe() (propagate shapes only). A concat node's value is the list of
+its inputs' values, which the conv reading it takes as its sources, so
+no concat op runs in any walk. Forward caches are held per layer and per
+upsample node and stay valid until the next forward, so repeated
+backward calls accumulate gradients additively; infer leaves them alone.
+Both forward and infer keep activations channel-major in memory (see
+ops); their Tensors still have NCHW shapes.
 """
 
 from __future__ import annotations
@@ -124,11 +124,9 @@ class _Conv:
     def backward(self, g: Tensor) -> Tensor | list[Tensor]:
         return ops.conv2d_backward(g, self._cache, self.spec, self.kernel, self.bias)
 
-    def infer(self, x: np.ndarray | list[np.ndarray]) -> np.ndarray:
-        """forward in infer mode on channel-major input; keeps no cache."""
-        def add_bias(grid: np.ndarray) -> None:
-            grid += self.bias.value[:, None]
-        return ops.conv2d_infer(x, self.spec, self.kernel, add_bias)
+    def infer(self, x: Tensor | list[Tensor]) -> Tensor:
+        """forward without keeping the cache."""
+        return ops.conv2d_forward(x, self.spec, self.kernel, self.bias)[0]
 
     def parameters(self) -> dict[str, Parameter]:
         return {f"{self.name}.kernel": self.kernel, f"{self.name}.bias": self.bias}
@@ -160,12 +158,14 @@ class _ConvBnRelu:
         y, self._bn_cache = ops.batchnorm_relu_forward(y, self.gamma, self.beta, self.state, mode)
         return y
 
-    def infer(self, x: np.ndarray | list[np.ndarray]) -> np.ndarray:
-        """forward in infer mode on channel-major input; keeps no cache."""
-        return ops.conv2d_infer(
-            x, self.spec, self.kernel,
-            lambda grid: ops.batchnorm_relu_infer(grid, self.gamma, self.beta, self.state),
-        )
+    def infer(self, x: Tensor | list[Tensor]) -> Tensor:
+        """forward in infer mode without keeping a cache: BN and ReLU run
+        in place on the conv's output grid, as its epilogue."""
+        return ops.conv2d_forward(
+            x, self.spec, self.kernel, None,
+            epilogue=lambda grid: ops.batchnorm_relu_infer(grid, self.gamma, self.beta,
+                                                           self.state),
+        )[0]
 
     def backward(self, g: Tensor) -> Tensor | list[Tensor]:
         g = ops.batchnorm_relu_backward(g, self._bn_cache, self.gamma, self.beta)
@@ -382,19 +382,18 @@ class SegETNetwork:
         bookkeeping: no cache is kept and no state is touched, so a
         pending backward is unaffected.
 
-        Activations stay channel-major (C, N, H, W) from the first conv to
-        the logits. A conv's output is a view of its GEMM grid, on which BN
-        and ReLU run in place.
+        It runs forward's ops and drops each cache as the op returns, so
+        a conv's tap layout is freed at once. A conv's output is a view of
+        its GEMM grid, on which BN and ReLU run in place.
         """
         self._check_batch(batch)
 
-        def step(nd: _Node, x: np.ndarray | list[np.ndarray]) -> np.ndarray:
+        def step(nd: _Node, x: Tensor | list[Tensor]) -> Tensor:
             if nd.kind == "conv":
                 return nd.unit.infer(x)
-            return ops.bilinear_upsample_2x_infer(x)
+            return ops.bilinear_upsample_2x_forward(x)[0]
 
-        logits = self._walk(batch.data.transpose(1, 0, 2, 3), step)
-        return np.ascontiguousarray(logits.transpose(1, 0, 2, 3))
+        return np.ascontiguousarray(self._walk(batch, step).data)
 
     # -- backward ----------------------------------------------------------
 

@@ -24,12 +24,11 @@ The network's conv -> BN -> ReLU unit is conv2d_* then the pair
 batchnorm_relu_forward/backward; _bn_affine, gamma * xhat + beta, is
 the one BN output computation of every path and of the ReLU mask.
 
-The *_infer functions are the cache-free inference path. They work on
-channel-major arrays (C, N, H, W) and return or modify plain arrays, and
-each gives the same bits as the matching *_forward in infer mode:
-conv2d_infer runs the same tap layout and tap loop as conv2d_forward,
-and batchnorm_relu_infer repeats batchnorm_forward's infer arithmetic in
-the same order, in place.
+Inference runs the same *_forward ops and drops their caches at once.
+Its one op of its own is batchnorm_relu_infer, the epilogue that
+conv2d_forward runs in place on its output grid: it repeats
+batchnorm_forward's infer arithmetic in the same order, so the bits are
+those of conv2d_forward then batchnorm_relu_forward in infer mode.
 """
 
 from __future__ import annotations
@@ -359,7 +358,8 @@ def _crop(grid: np.ndarray, n: int, geo: _Geometry) -> np.ndarray:
 
 
 def conv2d_forward(
-    x: Tensor | list[Tensor], spec: ConvSpec, kernel: Parameter, bias: Parameter | None
+    x: Tensor | list[Tensor], spec: ConvSpec, kernel: Parameter, bias: Parameter | None,
+    *, epilogue: Callable[[np.ndarray], None] | None = None,
 ) -> tuple[Tensor, Conv2dCache]:
     """Dilated cross-correlation with "same" zero padding, plus bias.
 
@@ -368,6 +368,10 @@ def conv2d_forward(
     the bias of a conv feeding it). Runs as the tap loop described above;
     the cache keeps the input in the tap layout for the backward pass.
     The output is channel-major, a view of the cropped output grid.
+
+    epilogue, if given, runs in place on the whole grid (OC, columns)
+    after the bias and before the crop: a per-channel elementwise map such
+    as batchnorm_relu_infer, whose values on the cropped columns are unused.
     """
     sources = x if isinstance(x, list) else [x]
     layout, geo = _tap_layout([t.data.transpose(1, 0, 2, 3) for t in sources], spec, kernel.value)
@@ -375,29 +379,11 @@ def conv2d_forward(
     grid = _tap_gemm(layout, n, geo, kernel.value)
     if bias is not None:
         grid += bias.value[:, None]
+    if epilogue is not None:
+        epilogue(grid)
     split = tuple(t.shape[1] for t in x) if isinstance(x, list) else None
     return (Tensor(_crop(grid, n, geo).transpose(1, 0, 2, 3)),
             Conv2dCache(layout, (n, spec.in_channels, h, w), spec, split))
-
-
-def conv2d_infer(
-    x: np.ndarray | list[np.ndarray], spec: ConvSpec, kernel: Parameter,
-    epilogue: Callable[[np.ndarray], None],
-) -> np.ndarray:
-    """conv2d_forward without bias and cache, on channel-major arrays
-    (C, N, H, W), one or a list; the result is a channel-major
-    (OC, N, OH, OW) view of the output grid.
-
-    epilogue runs in place on the whole grid (OC, columns) before the
-    crop: a per-channel elementwise map such as a bias add or
-    batchnorm_relu_infer, whose values on the cropped columns are unused.
-    """
-    sources = x if isinstance(x, list) else [x]
-    layout, geo = _tap_layout(sources, spec, kernel.value)
-    n = sources[0].shape[1]
-    grid = _tap_gemm(layout, n, geo, kernel.value)
-    epilogue(grid)
-    return _crop(grid, n, geo)
 
 
 def conv2d_backward(
@@ -734,15 +720,11 @@ def bilinear_upsample_2x_forward(x: Tensor) -> tuple[Tensor, tuple[int, int, int
     """Doubles H and W with half-pixel centers. The map is separable,
     out = Wr @ x @ Wc^T, and the backward pass is its exact transpose by
     construction; the cache is the input shape."""
-    out = bilinear_upsample_2x_infer(x.data.transpose(1, 0, 2, 3))
+    _, _, h, w = x.shape
+    xcm = x.data.transpose(1, 0, 2, 3)
+    out = np.matmul(np.matmul(_bilinear_matrix(h, xcm.dtype), xcm),
+                    _bilinear_matrix(w, xcm.dtype).T)
     return Tensor(out.transpose(1, 0, 2, 3)), x.shape
-
-
-def bilinear_upsample_2x_infer(x: np.ndarray) -> np.ndarray:
-    """The upsampling map alone, on the last two axes of any array."""
-    wr = _bilinear_matrix(x.shape[-2], x.dtype)
-    wc = _bilinear_matrix(x.shape[-1], x.dtype)
-    return np.matmul(np.matmul(wr, x), wc.T)
 
 
 def bilinear_upsample_2x_backward(grad_out: Tensor,

@@ -640,12 +640,19 @@ class TestCliFuse:
 
     @pytest.mark.parametrize("case", [
         "empty", "truncated", "header_only", "not_npy", "object", "npz", "2d", "integer",
+        "nan", "inf", "above_one", "negative",
     ])
     def test_bad_probability_stack_exits_2(self, tmp_path, capsys, case):
         def saved(save, array, **kwargs):
             buf = io.BytesIO()
             save(buf, array, **kwargs)
             return buf.getvalue()
+
+        def holding(value):
+            """A stack of valid probabilities but for two values."""
+            a = np.full((2, 4, 4), 0.5, dtype=np.float32)
+            a[1, 2, 3] = a[1, 3, 0] = value
+            return saved(np.save, a)
 
         good = saved(np.save, np.zeros((1, 4, 4), dtype=np.float32))
         bad = {
@@ -657,14 +664,22 @@ class TestCliFuse:
             "npz": saved(np.savez, np.zeros((1, 4, 4), dtype=np.float32)),
             "2d": saved(np.save, np.zeros((4, 4), dtype=np.float32)),
             "integer": saved(np.save, np.zeros((1, 4, 4), dtype=np.int64)),
+            "nan": holding(np.nan),
+            "inf": holding(np.inf),
+            "above_one": holding(1.5),
+            "negative": holding(-0.25),
         }
         path = tmp_path / "bad.npy"
         path.write_bytes(bad[case])
-        np.save(tmp_path / "good.npy", np.zeros((1, 4, 4), dtype=np.float32))
+        shape = (2, 4, 4) if case in ("nan", "inf", "above_one", "negative") else (1, 4, 4)
+        np.save(tmp_path / "good.npy", np.zeros(shape, dtype=np.float32))
         rc = cli.main(["fuse", "--probs", str(tmp_path / "good.npy"), str(path),
                        "--out-dir", str(tmp_path / "o")])
         assert rc == 2
-        assert str(path) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(path) in err
+        if shape[0] == 2:
+            assert "holds 2 values" in err and "(slice 1, y 2, x 3)" in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("threshold", BAD_THRESHOLDS)

@@ -303,6 +303,56 @@ class TestInfer:
         for name in grads[0]:
             assert np.array_equal(grads[0][name], grads[1][name]), name
 
+    def test_runs_the_training_ops_and_drops_their_caches(self, monkeypatch):
+        """One infer of a depth-4 net calls ops.conv2d_forward once per conv
+        (36) and ops.bilinear_upsample_2x_forward once per upsample node
+        (7), and leaves the caches of the last forward as they were. Every
+        conv but the logit conv passes an epilogue, which gets the
+        (OC, columns) grid, and returns a view of that grid's crop."""
+        cfg = NetworkConfig(base_filters=2, depth=4)
+        net, x = trained(cfg, (2, 1, 32, 32), 1)
+        net.forward(x, mode="train")
+
+        def caches():
+            units = [nd.unit for nd in net._nodes if nd.kind == "conv"]
+            return ([u._cache for u in units] + [getattr(u, "_bn_cache", None) for u in units]
+                    + list(net._op_caches.values()))
+
+        before = caches()
+        calls = {"conv": 0, "epilogue": 0, "upsample": 0}
+        conv, upsample = ops.conv2d_forward, ops.bilinear_upsample_2x_forward
+
+        def counted_conv(x, spec, kernel, bias, *, epilogue=None):
+            calls["conv"] += 1
+            if epilogue is None:
+                return conv(x, spec, kernel, bias)
+            calls["epilogue"] += 1
+            grids = []
+
+            def seen(grid):
+                grids.append(grid)
+                epilogue(grid)
+
+            y, cache = conv(x, spec, kernel, bias, epilogue=seen)
+            (grid,) = grids
+            n, _, h, w = (x[0] if isinstance(x, list) else x).shape
+            assert grid.ndim == 2 and grid.shape[0] == spec.out_channels
+            assert np.shares_memory(y.data, grid)
+            crop = ops._crop(grid, n, ops._geometry(n, h, w, spec))
+            assert np.array_equal(y.data, crop.transpose(1, 0, 2, 3))
+            return y, cache
+
+        def counted_upsample(x):
+            calls["upsample"] += 1
+            return upsample(x)
+
+        monkeypatch.setattr(ops, "conv2d_forward", counted_conv)
+        monkeypatch.setattr(ops, "bilinear_upsample_2x_forward", counted_upsample)
+        net.infer(x)
+        assert calls == {"conv": 36, "epilogue": 35, "upsample": 7}
+        after = caches()
+        assert len(after) == len(before) and all(a is b for a, b in zip(before, after))
+
     def test_infer_reproduces_the_train_batch_after_one_update(self):
         """With the bias-corrected running statistics, one train-mode forward
         leaves statistics equal to that batch's own, so infer mode gives

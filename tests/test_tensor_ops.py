@@ -157,25 +157,20 @@ class TestConv2dForward:
     @pytest.mark.parametrize("other", [(1, 1, 6, 6), (2, 1, 5, 6), (2, 1, 6, 1)],
                              ids=["N", "H", "W"])
     def test_sources_that_differ_in_n_h_or_w_are_refused(self, other):
-        """Both conv entry points refuse a list of sources whose N, H or W
-        differ, instead of broadcasting a 1-sample, 1-row or 1-column one."""
+        """The conv refuses a list of sources whose N, H or W differ,
+        instead of broadcasting a 1-sample, 1-row or 1-column one."""
         spec = ConvSpec(3, 2)
         kernel, _ = make_conv(spec, np.ones((2, 3, 3, 3)))
         a, b = np.ones((2, 2, 6, 6)), np.ones(other)
         match = r"must share N,H,W: got \(2, 2, 6, 6\) and " + re.escape(str(other))
         with pytest.raises(ValueError, match=match):
             ops.conv2d_forward([Tensor(a), Tensor(b)], spec, kernel, None)
-        with pytest.raises(ValueError, match=match):
-            ops.conv2d_infer([a.transpose(1, 0, 2, 3), b.transpose(1, 0, 2, 3)], spec, kernel,
-                             lambda grid: None)
 
     def test_an_empty_source_list_is_refused(self):
         spec = ConvSpec(3, 2)
         kernel, _ = make_conv(spec, np.ones((2, 3, 3, 3)))
         with pytest.raises(ValueError, match="at least one input"):
             ops.conv2d_forward([], spec, kernel, None)
-        with pytest.raises(ValueError, match="at least one input"):
-            ops.conv2d_infer([], spec, kernel, lambda grid: None)
 
     def test_same_padding_shape_contract(self):
         """Output extent equals ceil(extent/stride) for every extent in [1, 64]."""
@@ -221,8 +216,9 @@ _MULTI_SOURCE_CASES = [
 
 
 class TestConv2dInfer:
-    """The cache-free conv reads channel-major sources as one stacked input
-    and gives conv2d_forward's bits."""
+    """The inference conv, conv2d_forward with an epilogue, reads a list of
+    sources as one stacked input, and an epilogue that adds the bias
+    gives the biased conv's bits."""
 
     @pytest.mark.parametrize("spec, n, h, w, split", _MULTI_SOURCE_CASES)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -241,16 +237,47 @@ class TestConv2dInfer:
         def add_bias(grid):
             grid += bias.value[:, None]
 
-        got = ops.conv2d_infer([a.transpose(1, 0, 2, 3) for a in parts], spec, kernel, add_bias)
+        got, _ = ops.conv2d_forward([Tensor(a) for a in parts], spec, kernel, None,
+                                    epilogue=add_bias)
         assert got.dtype == y.dtype
-        assert np.array_equal(got.transpose(1, 0, 2, 3), y.data)
+        assert np.array_equal(got.data, y.data)
 
     def test_channel_mismatch_names_both_counts(self):
         spec = ConvSpec(3, 1)
         kernel, _ = make_conv(spec, np.ones((1, 3, 3, 3)))
         with pytest.raises(ValueError, match="2 channels.*in_channels=3"):
-            ops.conv2d_infer([np.ones((1, 1, 4, 4)), np.ones((1, 1, 4, 4))], spec, kernel,
-                             lambda grid: None)
+            ops.conv2d_forward([Tensor(np.ones((1, 1, 4, 4))), Tensor(np.ones((1, 1, 4, 4)))],
+                               spec, kernel, None, epilogue=lambda grid: None)
+
+    @pytest.mark.parametrize("spec, n, h, w, split", _MULTI_SOURCE_CASES)
+    def test_epilogue_runs_on_the_biased_grid_that_the_output_crops(self, spec, n, h, w, split):
+        """The epilogue gets the whole (OC, columns) grid after the bias add
+        and works in place: the returned Tensor is a view of its crop."""
+        rng = np.random.default_rng(sum(split) + n + 1)
+        x = [Tensor(rng.standard_normal((n, c, h, w))) for c in split]
+        kernel, bias = make_conv(
+            spec,
+            rng.standard_normal((spec.out_channels, spec.in_channels, spec.kernel, spec.kernel)),
+            rng.standard_normal(spec.out_channels),
+        )
+        unbiased = []
+        ops.conv2d_forward(x, spec, kernel, None, epilogue=unbiased.append)
+        plain, _ = ops.conv2d_forward(x, spec, kernel, bias)
+        seen = []
+
+        def double(grid):
+            seen.append((grid, grid.copy()))
+            grid *= 2.0
+
+        y, _ = ops.conv2d_forward(x, spec, kernel, bias, epilogue=double)
+        (grid, received), = seen
+        geo = ops._geometry(n, h, w, spec)
+        assert grid.ndim == 2 and grid.shape[0] == spec.out_channels
+        assert grid.shape[1] >= geo.grid_cols
+        assert np.array_equal(received, unbiased[0] + bias.value[:, None])
+        assert np.shares_memory(y.data, grid)
+        assert np.array_equal(y.data, ops._crop(grid, n, geo).transpose(1, 0, 2, 3))
+        assert np.array_equal(y.data, 2.0 * plain.data)
 
 
 class TestConv2dBackward:
@@ -474,14 +501,15 @@ class TestConvScratchMemory:
         gx = ops.conv2d_backward(Tensor(g), cache, spec, kernel, bias)
         grids = []
         sources = [x[: c // 2], x[c // 2 :]] if c > 1 else [x]
-        z = ops.conv2d_infer(sources, spec, kernel, lambda grid: grids.append(grid.copy()))
+        z, _ = ops.conv2d_forward([Tensor(a.transpose(1, 0, 2, 3)) for a in sources], spec,
+                                  kernel, None, epilogue=lambda grid: grids.append(grid.copy()))
         # the same halves as a list of sources for the training conv
         kernel2 = Parameter(kernel.value.copy(), "conv-kernel", regularized=True)
         y2, cache2 = ops.conv2d_forward([Tensor(a.transpose(1, 0, 2, 3)) for a in sources],
                                         spec, kernel2, None)
         gx2 = ops.conv2d_backward(Tensor(g), cache2, spec, kernel2, None)
         return {"forward": y.data, "layout": cache.padded, "input grad": gx.data,
-                "kernel grad": kernel.grad, "bias grad": bias.grad, "infer": z,
+                "kernel grad": kernel.grad, "bias grad": bias.grad, "infer": z.data,
                 "infer grid": grids[0], "sources forward": y2.data,
                 "sources layout": cache2.padded, "sources kernel grad": kernel2.grad,
                 **{f"source {i} grad": piece.data for i, piece in enumerate(gx2)}}
@@ -516,7 +544,8 @@ class TestConvAliasing:
             y, cache = ops.conv2d_forward(Tensor(x.transpose(1, 0, 2, 3)), spec, kernel, None)
             gx = ops.conv2d_backward(Tensor(rng.standard_normal(y.shape)), cache, spec,
                                      kernel, None)
-            z = ops.conv2d_infer([x], spec, kernel, lambda grid: None)
+            z = ops.conv2d_forward([Tensor(x.transpose(1, 0, 2, 3))], spec, kernel, None,
+                                   epilogue=lambda grid: None)[0].data
             # the same input as two sources, whose gradients are two pieces
             y2, cache2 = ops.conv2d_forward([Tensor(x[:1].transpose(1, 0, 2, 3)),
                                              Tensor(x[1:].transpose(1, 0, 2, 3))],
@@ -918,12 +947,6 @@ class TestBilinearUpsample:
         assert ops._bilinear_matrix(5, np.dtype(np.float32)) is m
         with pytest.raises(ValueError):
             m[0, 0] = 2.0
-
-    def test_infer_on_channel_major_equals_forward(self):
-        x = np.random.default_rng(5).standard_normal((3, 2, 5, 4)).astype(np.float32)
-        y, _ = ops.bilinear_upsample_2x_forward(Tensor(x))
-        got = ops.bilinear_upsample_2x_infer(x.transpose(1, 0, 2, 3))
-        assert np.array_equal(got.transpose(1, 0, 2, 3), y.data)
 
 
 class TestConcat:
