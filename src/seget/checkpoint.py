@@ -13,9 +13,11 @@ Layout (all little-endian):
 Saving writes a sibling ``<name>.tmp`` and renames it over the target,
 so an interrupted save never leaves a torn checkpoint. Loading checks
 the header's value types and ranges and that the payload can hold the
-network the config echo asks for, then rebuilds the network and rejects
+network the config echo asks for, then makes a bare SegETNetwork(config),
+which draws no weights, and fills the stored values into it. It rejects
 version mismatches, any difference between the file's array name set
-and the network's registry, and bytes after the last array.
+and the network's registry, bytes after the last array, any array
+holding a NaN or an infinite value, and any negative running variance.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError
-from .model import NetworkConfig, SegETNetwork, build
+from .model import NetworkConfig, SegETNetwork
 
 MAGIC = b"SGET"
 FORMAT_VERSION = 1
@@ -123,14 +125,14 @@ def load_checkpoint(path: str | Path) -> tuple[SegETNetwork, dict]:
     if bad:
         raise DataFormatError(f"{path}: malformed checkpoint header: bad {bad[0]!r} value")
     manifest = [(n, tuple(shape)) for n, shape in manifest]
-    # refuse a network the payload cannot hold before build allocates it: the center
+    # refuse a network the payload cannot hold before it is allocated: the center
     # branches alone are len(rates) 3x3 ConvSpec(2f, f) kernels, f >= 2^(depth - 1)
     itemsize = np.dtype(code).itemsize
     held = (len(raw) - 16 - hlen) // itemsize
     if config.depth > held.bit_length() or (
             len(config.dilation_rates) * 18 * config.filters(config.depth - 1) ** 2 > held):
         raise DataFormatError(f"{path}: config echo needs more parameters than {held} stored")
-    net = build(config)
+    net = SegETNetwork(config)
 
     expected = {n: tuple(a.shape) for n, a in _array_items(net)}
     declared = dict(manifest)
@@ -158,18 +160,22 @@ def load_checkpoint(path: str | Path) -> tuple[SegETNetwork, dict]:
                 f"{path}: payload truncated at array {name} "
                 f"(need {nbytes} bytes at offset {offset})"
             )
-        loaded[name] = np.frombuffer(raw, dtype=code, count=count, offset=offset).reshape(shape)
+        a = np.frombuffer(raw, dtype=code, count=count, offset=offset).reshape(shape)
+        if not np.isfinite(a).all():
+            raise DataFormatError(f"{path}: array {name} holds a NaN or infinite value")
+        if name.endswith(".running_var") and (a < 0).any():
+            raise DataFormatError(f"{path}: array {name} holds a negative variance")
+        loaded[name] = a
         offset += nbytes
     if offset != len(raw):
         raise DataFormatError(
             f"{path}: {len(raw) - offset} trailing bytes after the last array"
         )
 
-    dt = net.config.np_dtype
     for name, p in net.parameters.items():
-        p.value[...] = loaded[name].astype(dt)
+        p.value[...] = loaded[name]
     for name, state in net.bn_states.items():
-        state.running_mean[...] = loaded[f"{name}.running_mean"].astype(dt)
-        state.running_var[...] = loaded[f"{name}.running_var"].astype(dt)
+        state.running_mean[...] = loaded[f"{name}.running_mean"]
+        state.running_var[...] = loaded[f"{name}.running_var"]
         state.num_updates = bn_updates[name]
     return net, meta

@@ -240,8 +240,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _load_prob_stack(path: str) -> np.ndarray:
     """One per-class probability stack: a 3-D floating array in a .npy file,
-    every value in [0, 1]. A file that cannot be opened is an I/O error;
-    anything else that goes wrong is a format error naming the file."""
+    no axis of length 0, every value in [0, 1]. A file that cannot be
+    opened is an I/O error; anything else that goes wrong is a format
+    error naming the file."""
     with open(path, "rb") as fh:
         # on malformed bytes np.load raises ValueError, EOFError, SyntaxError,
         # zipfile.BadZipFile, RuntimeError and more
@@ -255,6 +256,8 @@ def _load_prob_stack(path: str) -> np.ndarray:
         got = (f"{stack.ndim}-D {stack.dtype}" if isinstance(stack, np.ndarray)
                else type(stack).__name__)
         raise DataFormatError(f"{path}: expected a 3-D floating probability stack, got {got}")
+    if 0 in stack.shape:
+        raise DataFormatError(f"{path}: probability stack of shape {stack.shape} is empty")
     bad = ~((stack >= 0) & (stack <= 1))  # NaN compares False
     if bad.any():
         s, y, x = np.unravel_index(np.argmax(bad), stack.shape)  # first True

@@ -21,6 +21,9 @@ upsample node and stay valid until the next forward, so repeated
 backward calls accumulate gradients additively; infer leaves them alone.
 Both forward and infer keep activations channel-major in memory (see
 ops); their Tensors still have NCHW shapes.
+
+SegETNetwork(config) draws nothing: build() is the one place that draws
+weights, and load_checkpoint fills saved values into a bare network.
 """
 
 from __future__ import annotations
@@ -33,11 +36,13 @@ import numpy as np
 
 from . import ops
 from .tensor import (
+    ROLE_BN_BETA,
+    ROLE_BN_GAMMA,
+    ROLE_CONV_BIAS,
+    ROLE_CONV_KERNEL,
     ConvSpec,
     Parameter,
     Tensor,
-    init_bn_params,
-    init_conv_params,
 )
 
 
@@ -106,13 +111,19 @@ class NetworkConfig:
 # conv units: each owns its parameters and one forward cache
 # ---------------------------------------------------------------------------
 
+def _zero_kernel(spec: ConvSpec, dtype) -> Parameter:
+    shape = (spec.out_channels, spec.in_channels, spec.kernel, spec.kernel)
+    return Parameter(np.zeros(shape, dtype=dtype), ROLE_CONV_KERNEL, regularized=True)
+
+
 class _Conv:
     """The biased 1x1 logit conv, the one conv not followed by BN + ReLU."""
 
-    def __init__(self, name: str, spec: ConvSpec, rng: np.random.Generator, dtype):
+    def __init__(self, name: str, spec: ConvSpec, dtype):
         self.name = name
         self.spec = spec
-        self.kernel, self.bias = init_conv_params(spec, rng, dtype)
+        self.kernel = _zero_kernel(spec, dtype)
+        self.bias = Parameter(np.zeros(spec.out_channels, dtype=dtype), ROLE_CONV_BIAS)
         self._cache: ops.Conv2dCache | None = None
 
     def forward(self, x: Tensor | list[Tensor], mode: str = "train") -> Tensor:
@@ -144,11 +155,12 @@ class _ConvBnRelu:
     recomputes the ReLU mask.
     """
 
-    def __init__(self, name: str, spec: ConvSpec, rng: np.random.Generator, dtype):
+    def __init__(self, name: str, spec: ConvSpec, dtype):
         self.name = name
         self.spec = spec
-        self.kernel, _ = init_conv_params(spec, rng, dtype)
-        self.gamma, self.beta = init_bn_params(spec.out_channels, dtype)
+        self.kernel = _zero_kernel(spec, dtype)
+        self.gamma = Parameter(np.ones(spec.out_channels, dtype=dtype), ROLE_BN_GAMMA)
+        self.beta = Parameter(np.zeros(spec.out_channels, dtype=dtype), ROLE_BN_BETA)
         self.state = ops.BatchNormState.create(spec.out_channels, dtype)
         self._cache: ops.Conv2dCache | None = None
         self._bn_cache: ops.BatchNormCache | None = None
@@ -232,14 +244,16 @@ class NetworkSummary:
 class SegETNetwork:
     """Instantiated layer graph with a stable-name parameter registry.
 
+    Every parameter starts at a fixed value: zero kernels and logit bias,
+    BN gamma 1 and beta 0, running mean 0 and var 1.
+
     A single instance is single-writer: forward, backward, and optimizer
     steps must not interleave across threads. Frozen inference is safe
     concurrently on separate instances.
     """
 
-    def __init__(self, config: NetworkConfig, seed: int = 0):
+    def __init__(self, config: NetworkConfig):
         self.config = config
-        rng = np.random.default_rng(seed)
         dt = config.np_dtype
         depth = config.depth
         base = config.base_filters
@@ -251,7 +265,7 @@ class SegETNetwork:
             return len(nodes)
 
         def conv(name: str, spec: ConvSpec, x: int) -> tuple[_ConvBnRelu, int]:
-            unit = _ConvBnRelu(name, spec, rng, dt)
+            unit = _ConvBnRelu(name, spec, dt)
             return unit, node(name, "conv", unit, x)
 
         skips: list[int] = []
@@ -307,7 +321,7 @@ class SegETNetwork:
             head_in += h_ch
         _, x = conv("head.c1", ConvSpec(head_in, base), x)
         _, x = conv("head.c2", ConvSpec(base, base), x)
-        self.head_logit = _Conv("head.logit", ConvSpec(base, 1, kernel=1), rng, dt)
+        self.head_logit = _Conv("head.logit", ConvSpec(base, 1, kernel=1), dt)
         node("head.logit", "conv", self.head_logit, x)
         self._nodes = nodes
 
@@ -464,8 +478,15 @@ class SegETNetwork:
 
 
 def build(config: NetworkConfig, seed: int = 0) -> SegETNetwork:
-    """Instantiate the network with deterministic He-scaled weights."""
-    return SegETNetwork(config, seed)
+    """The network with He-normal kernels (He et al. 2015): each kernel, in
+    registry order, drawn from N(0, 2 / fan_in) by one default_rng(seed)."""
+    net = SegETNetwork(config)
+    rng = np.random.default_rng(seed)
+    for p in net.parameters.values():
+        if p.role == ROLE_CONV_KERNEL:
+            fan_in = p.value[0].size  # in_channels * k * k
+            p.value[...] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=p.value.shape)
+    return net
 
 
 def probe_center_branches(net: SegETNetwork, spatial: int = 33) -> list[tuple[int, int, int]]:

@@ -5,7 +5,8 @@ Tensor is a batch of feature maps of shape (N, C, H, W), held either
 C-contiguous or channel-major (see seget.ops); a Parameter is a
 trainable array with an additively-accumulated gradient; a ConvSpec
 pins down one convolution's geometry (kernel size, stride, dilation,
-channel counts).
+channel counts). The values a Parameter starts at are set in seget.model:
+the network makes each at a fixed value, and build() draws the kernels.
 """
 
 from __future__ import annotations
@@ -113,26 +114,3 @@ class ConvSpec:
     def out_spatial(self, h: int, w: int) -> tuple[int, int]:
         """"same" semantics: output extent = ceil(extent / stride)."""
         return -(-h // self.stride), -(-w // self.stride)
-
-
-def init_conv_params(
-    spec: ConvSpec, rng: np.random.Generator, dtype: np.dtype | str = np.float32
-) -> tuple[Parameter, Parameter]:
-    """He-scaled kernel (std sqrt(2/fan_in)) and a zero bias."""
-    fan_in = spec.in_channels * spec.kernel * spec.kernel
-    kernel = rng.normal(
-        0.0, np.sqrt(2.0 / fan_in), size=(spec.out_channels, spec.in_channels, spec.kernel, spec.kernel)
-    ).astype(dtype)
-    bias = np.zeros(spec.out_channels, dtype=dtype)
-    return (
-        Parameter(kernel, ROLE_CONV_KERNEL, regularized=True),
-        Parameter(bias, ROLE_CONV_BIAS),
-    )
-
-
-def init_bn_params(channels: int, dtype: np.dtype | str = np.float32) -> tuple[Parameter, Parameter]:
-    """gamma = 1, beta = 0."""
-    return (
-        Parameter(np.ones(channels, dtype=dtype), ROLE_BN_GAMMA),
-        Parameter(np.zeros(channels, dtype=dtype), ROLE_BN_BETA),
-    )

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from seget import cli
-from seget.checkpoint import load_checkpoint
+from seget.checkpoint import load_checkpoint, save_checkpoint
 from seget.config import PRESETS, RunConfig, dump_config, load_preset, parse_config, set_value
 from seget.data import CLASS_ORDER, read_pgm, read_ppm, write_mask_pgm
 from seget.errors import ConfigError
@@ -497,6 +497,33 @@ class TestCliPredict:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, value", [
+        ("head.logit.bias", np.nan), ("head.c2.running_var", -1.0),
+    ])
+    def test_non_finite_checkpoint_exits_2_before_reading(
+            self, synth_dir, trained_dir, tmp_path, capsys, monkeypatch, name, value):
+        """A NaN weight used to predict all-background masks and a NaN
+        probability stack with exit 0."""
+        def volume_read(path):
+            raise AssertionError("volume read")
+
+        monkeypatch.setattr(cli.dp, "read_mrc", volume_read)
+        net, meta = load_checkpoint(trained_dir / "best.ckpt")
+        unit, _, field = name.rpartition(".")
+        if field == "running_var":
+            net.bn_states[unit].running_var[0] = value
+        else:
+            net.parameters[name].value[0] = value
+        ckpt = tmp_path / "bad.ckpt"
+        save_checkpoint(ckpt, net, meta["epoch"], meta["val_miou"])
+        out = tmp_path / "pred"
+        rc = cli.main(["predict", "--checkpoint", str(ckpt),
+                       "--volume", str(synth_dir / "volume.mrc"), "--save-probs",
+                       "--out-dir", str(out), "--window", "32", "--stride", "32"])
+        assert rc == 2
+        assert f"array {name}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_volume_exits_2(self, synth_dir, trained_dir, tmp_path, capsys):
         """A NaN voxel is refused, not predicted as finite garbage."""
         out = tmp_path / "pred"
@@ -640,7 +667,7 @@ class TestCliFuse:
 
     @pytest.mark.parametrize("case", [
         "empty", "truncated", "header_only", "not_npy", "object", "npz", "2d", "integer",
-        "nan", "inf", "above_one", "negative",
+        "nan", "inf", "above_one", "negative", "zero_slices", "zero_rows",
     ])
     def test_bad_probability_stack_exits_2(self, tmp_path, capsys, case):
         def saved(save, array, **kwargs):
@@ -668,13 +695,16 @@ class TestCliFuse:
             "inf": holding(np.inf),
             "above_one": holding(1.5),
             "negative": holding(-0.25),
+            "zero_slices": saved(np.save, np.zeros((0, 4, 4), dtype=np.float32)),
+            "zero_rows": saved(np.save, np.zeros((2, 0, 4), dtype=np.float32)),
         }
         path = tmp_path / "bad.npy"
         path.write_bytes(bad[case])
         shape = (2, 4, 4) if case in ("nan", "inf", "above_one", "negative") else (1, 4, 4)
         np.save(tmp_path / "good.npy", np.zeros(shape, dtype=np.float32))
-        rc = cli.main(["fuse", "--probs", str(tmp_path / "good.npy"), str(path),
-                       "--out-dir", str(tmp_path / "o")])
+        # an empty stack goes alone, so that no other stack's shape refuses it
+        probs = [str(path)] if case.startswith("zero") else [str(tmp_path / "good.npy"), str(path)]
+        rc = cli.main(["fuse", "--probs", *probs, "--out-dir", str(tmp_path / "o")])
         assert rc == 2
         err = capsys.readouterr().err
         assert str(path) in err

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from seget import ops
 from seget.checkpoint import load_checkpoint, save_checkpoint
 from seget.errors import DataFormatError
-from seget.model import NetworkConfig, _ConvBnRelu, build, probe_center_branches
+from seget.model import NetworkConfig, SegETNetwork, _ConvBnRelu, build, probe_center_branches
 from seget.tensor import ConvSpec, Tensor
 
 TINY = NetworkConfig(base_filters=2, depth=1, dilation_rates=(1, 2), dtype="float64")
@@ -74,6 +74,42 @@ class TestBuild:
             NetworkConfig(dilation_rates=())
         with pytest.raises(ValueError):
             NetworkConfig(dilation_rates=(0, 2))
+
+
+def _refuse_draws(monkeypatch):
+    """Make build and every new random generator raise."""
+    import seget.model as model
+
+    def refused(*args, **kwargs):
+        raise AssertionError("drew weights")
+
+    monkeypatch.setattr(model, "build", refused)
+    monkeypatch.setattr(np.random, "default_rng", refused)
+
+
+def _stored_array(net, name):
+    """The array a checkpoint stores under `name`, in place."""
+    unit, _, field = name.rpartition(".")
+    if field.startswith("running_"):
+        return getattr(net.bn_states[unit], field)
+    return net.parameters[name].value
+
+
+class TestStartingValues:
+    """SegETNetwork(config) makes every parameter at a fixed value and
+    draws nothing; test_checkpoint_bytes_are_pinned covers build's draws."""
+
+    @pytest.mark.parametrize("cfg", [TINY, SMALL])
+    def test_network_draws_nothing(self, monkeypatch, cfg):
+        _refuse_draws(monkeypatch)
+        net = SegETNetwork(cfg)
+        starts = {"kernel": 0.0, "bias": 0.0, "gamma": 1.0, "beta": 0.0}
+        for name, p in net.parameters.items():
+            assert p.value.dtype == cfg.np_dtype
+            assert np.all(p.value == starts[name.rpartition(".")[2]]), name
+        for state in net.bn_states.values():
+            assert np.all(state.running_mean == 0.0) and np.all(state.running_var == 1.0)
+            assert state.num_updates == 0
 
 
 class TestForward:
@@ -384,7 +420,8 @@ class TestConvBnReluUnit:
         output is exactly 0; channel 1 has a zero kernel and beta 0.5; the
         others are random with random gamma and beta."""
         rng = np.random.default_rng(seed)
-        unit = _ConvBnRelu("u", ConvSpec(3, 6), rng, dtype)
+        unit = _ConvBnRelu("u", ConvSpec(3, 6), dtype)
+        unit.kernel.value[...] = rng.normal(0.0, np.sqrt(2.0 / 27), size=(6, 3, 3, 3))
         unit.kernel.value[:2] = 0.0
         unit.gamma.value[:] = rng.standard_normal(6)
         unit.beta.value[:] = rng.standard_normal(6)
@@ -597,6 +634,46 @@ class TestCheckpoint:
         with pytest.raises(DataFormatError, match="registry"):
             load_checkpoint(path)
 
+    def test_loading_draws_nothing(self, tmp_path, monkeypatch):
+        net = build(SMALL, seed=6)
+        net.forward(rand_input(SMALL, n=2, seed=7), mode="train")  # BN state off its start
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, net, epoch=3, val_miou=0.5)
+        _refuse_draws(monkeypatch)
+        loaded, _ = load_checkpoint(path)
+        for name, p in net.parameters.items():
+            assert np.array_equal(loaded.parameters[name].value, p.value), name
+        for name, state in net.bn_states.items():
+            got = loaded.bn_states[name]
+            assert np.array_equal(got.running_mean, state.running_mean), name
+            assert np.array_equal(got.running_var, state.running_var), name
+            assert got.num_updates == state.num_updates == 1
+
+    @pytest.mark.parametrize("name, value, why", [
+        ("head.logit.bias", np.nan, "NaN or infinite"),
+        ("enc0.c1.kernel", np.inf, "NaN or infinite"),
+        ("center.b1.gamma", -np.inf, "NaN or infinite"),
+        ("dec0.c2.beta", np.nan, "NaN or infinite"),
+        ("center.reduce.running_mean", np.nan, "NaN or infinite"),
+        ("head.c2.running_var", np.inf, "NaN or infinite"),
+        ("enc0.c2.running_var", -1e-3, "negative variance"),
+    ])
+    def test_rejects_a_non_finite_array_or_negative_variance(self, tmp_path, name, value, why):
+        net = build(TINY, seed=2)
+        _stored_array(net, name).flat[-1] = value
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(path, net, 0, 0.0)
+        with pytest.raises(DataFormatError, match=f"array {name} holds a {why}"):
+            load_checkpoint(path)
+
+    def test_zero_variance_loads(self, tmp_path):
+        net = build(TINY)
+        net.bn_states["enc0.c2"].running_var[:] = (0.0, -0.0)
+        path = tmp_path / "zero.ckpt"
+        save_checkpoint(path, net, 0, 0.0)
+        loaded, _ = load_checkpoint(path)
+        assert np.all(loaded.bn_states["enc0.c2"].running_var == 0.0)
+
     @staticmethod
     def _with_header(path, blob):
         """Rewrite a saved checkpoint with another header blob."""
@@ -702,11 +779,11 @@ class TestCheckpoint:
         path = tmp_path / "huge.ckpt"
         save_checkpoint(path, build(TINY), 0, 0.0)
 
-        def build_refused(config, seed=0):
-            raise AssertionError("build called")
+        def network_refused(config):
+            raise AssertionError("network made")
 
-        monkeypatch.setattr(checkpoint, "build", build_refused)
-        with pytest.raises(AssertionError, match="build called"):  # the check is not vacuous
+        monkeypatch.setattr(checkpoint, "SegETNetwork", network_refused)
+        with pytest.raises(AssertionError, match="network made"):  # the check is not vacuous
             load_checkpoint(path)
         self._with_config_echo(path, base_filters=base, depth=depth)
         with pytest.raises(DataFormatError, match="more parameters"):
