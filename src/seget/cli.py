@@ -59,8 +59,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         cfg = set_value(cfg, "train.seed", str(args.seed))
     if getattr(args, "threshold", None) is not None:
         cfg = set_value(cfg, "train.threshold", str(args.threshold))
-    if getattr(args, "out_dir", None):
-        cfg = set_value(cfg, "paths.out_dir", args.out_dir)
+    for key in ("volume", "mask", "out_dir"):
+        if getattr(args, key, None):
+            cfg = set_value(cfg, f"paths.{key}", getattr(args, key))
     return cfg
 
 
@@ -104,14 +105,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.dump_config:
         print(dump_config(cfg), end="")
         return EXIT_OK
-    volume_path = args.volume or cfg.paths.volume
-    mask_path = args.mask or cfg.paths.mask
-    if not volume_path or not mask_path:
+    if not cfg.paths.volume or not cfg.paths.mask:
         raise ConfigError("train requires --volume and --mask (or paths in the config)")
     _require_window_fits(cfg.data.window, cfg.network)
 
-    volume = dp.read_mrc(volume_path)
-    mask_vol = dp.read_mrc(mask_path)
+    volume = dp.read_mrc(cfg.paths.volume)
+    mask_vol = dp.read_mrc(cfg.paths.mask)
     images = dp.normalize(volume, per_slice=cfg.data.normalize_per_slice)
     masks = (mask_vol.data != 0).astype(np.int8)
     if images.shape != masks.shape:

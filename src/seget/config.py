@@ -56,8 +56,9 @@ _SECTIONS = ("network", "loss", "train", "data", "paths")
 # keys whose underlying field is not a plain scalar
 _TUPLE_KEYS = {("network", "dilation_rates")}
 # fields that are not config keys: train writes its checkpoint to
-# [paths] checkpoint, or <out_dir>/best.ckpt
-_NOT_KEYS = {("train", "checkpoint_path")}
+# [paths] checkpoint, or <out_dir>/best.ckpt, and foreground weights are
+# capped by [train] weight_cap alone
+_NOT_KEYS = {("train", "checkpoint_path"), ("loss", "weight_cap")}
 
 
 def _keys(section: str, sub) -> list[str]:
@@ -189,7 +190,6 @@ def _preset(lr: float, decay: float, epochs: int, es_patience: int,
             weight_cap=cap,
             use_weights=use_weights,
         ),
-        loss=LossConfig(weight_cap=cap),
     )
 
 

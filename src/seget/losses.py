@@ -34,7 +34,7 @@ JACCARD_SMOOTH = 1.0
 @dataclass
 class LossConfig:
     l2_lambda: float = 1e-4       # weight-regularizer coefficient
-    weight_cap: float = 2000.0    # maximum foreground B/F weight
+    weight_cap: float = 2000.0    # read by nothing: [train] weight_cap caps the weights
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.l2_lambda) and self.l2_lambda >= 0):

@@ -191,7 +191,7 @@ def fit(
     """
     if not train_patches or not val_patches:
         raise ValueError("fit requires non-empty train and validation sets")
-    loss_cfg = loss_cfg or LossConfig(weight_cap=cfg.weight_cap)
+    loss_cfg = loss_cfg or LossConfig()
     if eval_fn is None:
         eval_fn = lambda n, v: evaluate(n, v, cfg.threshold, cfg.batch_size)[0]
     rng = np.random.default_rng(cfg.seed)

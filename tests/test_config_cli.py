@@ -6,6 +6,7 @@ import json
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from seget.checkpoint import load_checkpoint, save_checkpoint
 from seget.config import PRESETS, RunConfig, dump_config, load_preset, parse_config, set_value
 from seget.data import CLASS_ORDER, read_pgm, read_ppm, write_mask_pgm
 from seget.errors import ConfigError
+from seget.model import SegETNetwork
 from seget.ops import sigmoid
 from seget.tensor import Tensor
 from seget.train import REDUCE_FACTOR
@@ -28,7 +30,7 @@ _DATA_AND_PATHS = (
 DEFAULT_DUMP = "\n".join((
     "[network]", "base_filters = 16", "depth = 4", "dilation_rates = 1,2,4,8",
     "dtype = float32", "",
-    "[loss]", "l2_lambda = 0.0001", "weight_cap = 2000.0", "",
+    "[loss]", "l2_lambda = 0.0001", "",
     "[train]", "epochs = 38", "batch_size = 12", "learning_rate = 0.0001",
     "lr_decay = 1e-06", "early_stop_patience = 8", "reduce_patience = 3",
     "oversample_copies = 0", "weight_cap = 2000.0", "use_weights = true",
@@ -38,7 +40,7 @@ DEFAULT_DUMP = "\n".join((
 GOLGI_DUMP = "\n".join((
     "[network]", "base_filters = 16", "depth = 4", "dilation_rates = 1,2,4,8",
     "dtype = float32", "",
-    "[loss]", "l2_lambda = 0.0001", "weight_cap = 1000.0", "",
+    "[loss]", "l2_lambda = 0.0001", "",
     "[train]", "epochs = 124", "batch_size = 12", "learning_rate = 0.002",
     "lr_decay = 1e-05", "early_stop_patience = 5", "reduce_patience = 2",
     "oversample_copies = 2", "weight_cap = 1000.0", "use_weights = true",
@@ -54,6 +56,8 @@ REMOVED_KEYS = [
     ("loss", "jaccard_smooth", "1.0"),
     # train writes its checkpoint to [paths] checkpoint; this key was ignored
     ("train", "checkpoint_path", "elsewhere.ckpt"),
+    # foreground weights are capped by [train] weight_cap; this key was ignored
+    ("loss", "weight_cap", "5"),
 ]
 
 # values the `key = value` line format cannot carry: used to be cut off at
@@ -253,6 +257,16 @@ class TestCliTrain:
         assert manifest.startswith("#")
         assert (trained_dir / "resolved_config.txt").exists()
 
+    def test_resolved_config_replays_the_run(self, trained_dir, tmp_path):
+        """resolved_config.txt names the volume and mask, so training from
+        it alone repeats the run; it used to exit 1 on empty paths."""
+        out = tmp_path / "replay"
+        rc = cli.main(["train", "--config", str(trained_dir / "resolved_config.txt"),
+                       "--out-dir", str(out)])
+        assert rc == 0
+        for name in ("train_log.txt", "best.ckpt"):
+            assert (out / name).read_bytes() == (trained_dir / name).read_bytes(), name
+
     def test_bad_preset_exits_1(self):
         assert cli.main(["train", "--preset", "nope", "--dump-config"]) == 1
 
@@ -305,6 +319,19 @@ class TestCliTrain:
         assert rc == 1
         assert "cannot contain" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("flag", ["--volume", "--mask"])
+    def test_input_path_a_line_cannot_carry_exits_1_before_writing(self, synth_dir, tmp_path,
+                                                                   flag, capsys):
+        """--volume and --mask are [paths] values in resolved_config.txt."""
+        out = tmp_path / "run"
+        paths = {"--volume": str(synth_dir / "volume.mrc"),
+                 "--mask": str(synth_dir / "mask_blob.mrc"), flag: str(tmp_path / "#1.mrc")}
+        rc = cli.main(["train", *[a for kv in paths.items() for a in kv],
+                       "--out-dir", str(out), *TRAIN_OVERRIDES])
+        assert rc == 1
+        assert "cannot contain" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("setting", [
         "paths.checkpoint=a/b#c.ckpt",
@@ -522,6 +549,34 @@ class TestCliPredict:
                        "--out-dir", str(out), "--window", "32", "--stride", "32"])
         assert rc == 2
         assert f"array {name}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_checkpoint_dtype_other_than_its_config_echo_exits_2_before_reading(
+            self, synth_dir, trained_dir, tmp_path, capsys, monkeypatch):
+        """A float32 config echo over float64 arrays used to load, every
+        value rounded to float32."""
+        def volume_read(path):
+            raise AssertionError("volume read")
+
+        net, meta = load_checkpoint(trained_dir / "best.ckpt")
+        wide = SegETNetwork(replace(net.config, dtype="float64"))
+        for name, p in net.parameters.items():
+            wide.parameters[name].value[...] = p.value
+        ckpt = tmp_path / "wide.ckpt"
+        save_checkpoint(ckpt, wide, meta["epoch"], meta["val_miou"])
+        raw = ckpt.read_bytes()
+        (hlen,) = struct.unpack_from("<Q", raw, 8)
+        header = json.loads(raw[16 : 16 + hlen])
+        header["config"]["dtype"] = "float32"
+        blob = json.dumps(header, sort_keys=True).encode()
+        ckpt.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen :])
+        monkeypatch.setattr(cli.dp, "read_mrc", volume_read)
+        out = tmp_path / "pred"
+        rc = cli.main(["predict", "--checkpoint", str(ckpt),
+                       "--volume", str(synth_dir / "volume.mrc"),
+                       "--out-dir", str(out), "--window", "32", "--stride", "32"])
+        assert rc == 2
+        assert "bad 'dtype' value" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_finite_volume_exits_2(self, synth_dir, trained_dir, tmp_path, capsys):

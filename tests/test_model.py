@@ -4,6 +4,7 @@ probes, and the checkpoint container."""
 import hashlib
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seget import ops
-from seget.checkpoint import load_checkpoint, save_checkpoint
+from seget.checkpoint import _array_items, load_checkpoint, save_checkpoint
 from seget.errors import DataFormatError
 from seget.model import NetworkConfig, SegETNetwork, _ConvBnRelu, build, probe_center_branches
 from seget.tensor import ConvSpec, Tensor
@@ -751,6 +752,9 @@ class TestCheckpoint:
         ("config", ("config", "depth"), True),
         ("config", ("config", "dilation_rates"), [1.5]),
         ("config", ("config", "dilation_rates"), [True]),
+        # the config echo owns the dtype: float32 over float64 arrays, and back
+        ("dtype", ("dtype",), "<f8"),
+        ("dtype", ("config", "dtype"), "float64"),
     ]
 
     @pytest.mark.parametrize("key, where, value", MALFORMED_VALUES)
@@ -788,6 +792,21 @@ class TestCheckpoint:
         self._with_config_echo(path, base_filters=base, depth=depth)
         with pytest.raises(DataFormatError, match="more parameters"):
             load_checkpoint(path)
+
+    def test_load_holds_one_copy_of_the_weights(self, tmp_path):
+        """Each array is read straight into the network: the load's peak
+        stays below the network's arrays plus its largest one, where
+        reading the whole file first held every weight twice."""
+        path = tmp_path / "b8.ckpt"
+        save_checkpoint(path, build(NetworkConfig(base_filters=8, depth=4)), 0, 0.0)
+        tracemalloc.start()
+        try:
+            net, _ = load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        sizes = [a.nbytes for _, a in _array_items(net)]
+        assert peak < sum(sizes) + max(sizes)
 
     def test_rejects_header_missing_a_key(self, tmp_path):
         net = build(TINY)
