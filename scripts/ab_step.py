@@ -67,7 +67,7 @@ class Side:
     def train_step(self) -> None:
         tensor = self.mods["tensor"].Tensor
         self.net.zero_grads()
-        logits = self.net.forward(self.batch, mode="train")
+        logits = self.net.forward(self.batch)
         loss, grad = self.mods["losses"].combined_loss(
             logits, self.masks, self.net.parameters, self.loss_cfg, self.weights)
         self.net.backward(tensor(grad.data.astype(self.net.config.np_dtype)))
@@ -105,8 +105,8 @@ def main() -> int:
              for tag, src in (("a", args.a), ("b", args.b))]
     op = "train_step" if args.mode == "train" else "infer"
     if args.mode == "infer":
-        for side in sides:  # BN running statistics from one train-mode batch
-            side.net.forward(side.batch, mode="train")
+        for side in sides:  # BN running statistics from one training batch
+            side.net.forward(side.batch)
 
     for _ in range(args.warmup):
         for side in sides:

@@ -170,10 +170,6 @@ def _predict_volume(net, images: np.ndarray, window: int, stride: int) -> np.nda
     last windows cover the strips a stride that does not divide
     extent - window would leave out."""
     nz, h, w = images.shape
-    if not 1 <= stride <= window:
-        # a stride beyond the window leaves gaps between windows
-        raise ConfigError(f"predict --stride must lie in [1, --window={window}], got {stride}")
-    _require_window_fits(window, net.config)
     probs = np.zeros((nz, h, w), dtype=np.float64)
     dt = net.config.np_dtype
     for s in range(nz):
@@ -202,10 +198,16 @@ def _require_threshold(threshold: float) -> None:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     _require_threshold(args.threshold)
+    window, stride = args.window, args.stride
+    if window < 1:
+        raise ConfigError(f"predict --window must be at least 1, got {window}")
+    if not 1 <= stride <= window:  # a stride beyond the window leaves gaps between windows
+        raise ConfigError(f"predict --stride must lie in [1, --window={window}], got {stride}")
     net, meta = load_checkpoint(args.checkpoint)
+    _require_window_fits(window, net.config)
     volume = dp.read_mrc(args.volume)
     images = dp.normalize(volume, per_slice=args.normalize_per_slice)
-    probs = _predict_volume(net, images, args.window, args.stride)
+    probs = _predict_volume(net, images, window, stride)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     threshold = args.threshold

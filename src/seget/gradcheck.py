@@ -123,7 +123,7 @@ def _check_batchnorm(rng: np.random.Generator, tolerance: float) -> GradCheckRep
         gamma = Parameter(gm.copy(), "bn-gamma")
         beta = Parameter(b.copy(), "bn-beta")
         state = ops.BatchNormState.create(3, dtype=np.float64)
-        y, cache = ops.batchnorm_forward(Tensor(x), gamma, beta, state, "train")
+        y, cache = ops.batchnorm_forward(Tensor(x), gamma, beta, state)
         gx = ops.batchnorm_backward(g, cache, gamma, beta)
         return y, (gx.data, gamma.grad, beta.grad)
 
@@ -188,7 +188,7 @@ def run_network_suite(
     rates (1, 2), input 1x1x8x8): every parameter's analytic gradient of
     the sum-of-logits against central finite differences.
 
-    Train-mode BN uses batch statistics only, so the perturbed forward
+    The training BN uses batch statistics only, so the perturbed forward
     is a smooth function of the parameters even though running stats
     keep updating.
     """
@@ -199,7 +199,7 @@ def run_network_suite(
     x = Tensor(np.random.default_rng(seed + 1).standard_normal((1, 1, 8, 8)))
 
     def loss() -> float:
-        return float(net.forward(x, mode="train").data.sum())
+        return float(net.forward(x).data.sum())
 
     loss()
     net.zero_grads()

@@ -11,16 +11,17 @@ conv is followed by BN and ReLU except the logit conv, which must stay
 unbounded. Units only compose ops: each unit calls ops.conv2d_* and then
 the BN+ReLU pair ops.batchnorm_relu_*.
 
-One static node list, built with the layers, drives forward (walk it),
-infer (walk it through the same ops, dropping their caches), backward
-(replay it in reverse, summing fan-out gradients per slot) and
-describe() (propagate shapes only). A concat node's value is the list of
-its inputs' values, which the conv reading it takes as its sources, so
-no concat op runs in any walk. Forward caches are held per layer and per
-upsample node and stay valid until the next forward, so repeated
-backward calls accumulate gradients additively; infer leaves them alone.
-Both forward and infer keep activations channel-major in memory (see
-ops); their Tensors still have NCHW shapes.
+One static node list, built with the layers, drives forward (the
+training walk), infer (the inference walk: the same conv and upsample
+ops, their caches dropped), backward (replay it in reverse, summing
+fan-out gradients per slot) and describe() (propagate shapes only). A
+concat node's value is the list of its inputs' values, which the conv
+reading it takes as its sources, so no concat op runs in any walk.
+Forward caches are held per layer and per upsample node and stay valid
+until the next forward, so repeated backward calls accumulate gradients
+additively; infer leaves them alone. Both forward and infer keep
+activations channel-major in memory (see ops); their Tensors still have
+NCHW shapes.
 
 SegETNetwork(config) draws nothing: build() is the one place that draws
 weights, and load_checkpoint fills saved values into a bare network.
@@ -126,9 +127,7 @@ class _Conv:
         self.bias = Parameter(np.zeros(spec.out_channels, dtype=dtype), ROLE_CONV_BIAS)
         self._cache: ops.Conv2dCache | None = None
 
-    def forward(self, x: Tensor | list[Tensor], mode: str = "train") -> Tensor:
-        """mode is accepted for a uniform unit interface; a bare conv
-        behaves the same in train and infer mode."""
+    def forward(self, x: Tensor | list[Tensor]) -> Tensor:
         y, self._cache = ops.conv2d_forward(x, self.spec, self.kernel, self.bias)
         return y
 
@@ -165,14 +164,14 @@ class _ConvBnRelu:
         self._cache: ops.Conv2dCache | None = None
         self._bn_cache: ops.BatchNormCache | None = None
 
-    def forward(self, x: Tensor | list[Tensor], mode: str) -> Tensor:
+    def forward(self, x: Tensor | list[Tensor]) -> Tensor:
         y, self._cache = ops.conv2d_forward(x, self.spec, self.kernel, None)
-        y, self._bn_cache = ops.batchnorm_relu_forward(y, self.gamma, self.beta, self.state, mode)
+        y, self._bn_cache = ops.batchnorm_relu_forward(y, self.gamma, self.beta, self.state)
         return y
 
     def infer(self, x: Tensor | list[Tensor]) -> Tensor:
-        """forward in infer mode without keeping a cache: BN and ReLU run
-        in place on the conv's output grid, as its epilogue."""
+        """The conv without keeping a cache, then BN by the running
+        statistics and ReLU in place on its output grid, as its epilogue."""
         return ops.conv2d_forward(
             x, self.spec, self.kernel, None,
             epilogue=lambda grid: ops.batchnorm_relu_infer(grid, self.gamma, self.beta,
@@ -377,13 +376,16 @@ class SegETNetwork:
             )
 
     def forward(self, batch: Tensor, mode: str = "train") -> Tensor:
-        """Logit map, shape N x 1 x H x W, keeping every cache that
-        backward needs."""
+        """The training walk, BN on the batch statistics: logit map, shape
+        N x 1 x H x W, keeping every cache that backward needs. mode
+        accepts "train" alone; inference is infer()."""
+        if mode != "train":
+            raise ValueError(f"forward is the training walk; got mode={mode!r}, use infer()")
         self._check_batch(batch)
 
         def step(nd: _Node, x: Tensor | list[Tensor]) -> Tensor:
             if nd.kind == "conv":
-                return nd.unit.forward(x, mode)
+                return nd.unit.forward(x)
             y, self._op_caches[nd.name] = ops.bilinear_upsample_2x_forward(x)
             return y
 
@@ -392,13 +394,13 @@ class SegETNetwork:
         return logits
 
     def infer(self, batch: Tensor) -> np.ndarray:
-        """forward(batch, mode="infer").data, bit for bit, with none of its
-        bookkeeping: no cache is kept and no state is touched, so a
-        pending backward is unaffected.
+        """The inference walk, BN on the running statistics, with none of
+        forward's bookkeeping: no cache is kept and no state is touched,
+        so a pending backward is unaffected.
 
-        It runs forward's ops and drops each cache as the op returns, so
-        a conv's tap layout is freed at once. A conv's output is a view of
-        its GEMM grid, on which BN and ReLU run in place.
+        It runs forward's conv and upsample ops and drops each cache as
+        the op returns, so a conv's tap layout is freed at once. A conv's
+        output is a view of its GEMM grid, on which BN and ReLU run in place.
         """
         self._check_batch(batch)
 

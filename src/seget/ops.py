@@ -20,15 +20,15 @@ convs also take a list of sources, read as one input stacked along
 channels, and conv2d_backward then returns one gradient per source;
 concat_channels_* are reference ops.
 
-The network's conv -> BN -> ReLU unit is conv2d_* then the pair
+The network's conv -> BN -> ReLU unit trains as conv2d_* then the pair
 batchnorm_relu_forward/backward; _bn_affine, gamma * xhat + beta, is
 the one BN output computation of every path and of the ReLU mask.
 
-Inference runs the same *_forward ops and drops their caches at once.
-Its one op of its own is batchnorm_relu_infer, the epilogue that
-conv2d_forward runs in place on its output grid: it repeats
-batchnorm_forward's infer arithmetic in the same order, so the bits are
-those of conv2d_forward then batchnorm_relu_forward in infer mode.
+BN has one mode per walk. batchnorm_forward is the training BN: it
+normalizes by the batch statistics and updates the running ones.
+Inference runs the same conv and upsample ops and drops their caches at
+once; its BN is batchnorm_relu_infer, the epilogue that conv2d_forward
+runs in place on its output grid, normalizing by the running statistics.
 """
 
 from __future__ import annotations
@@ -485,7 +485,7 @@ BN_EPS = 1e-5
 
 @dataclass
 class BatchNormState:
-    """Per-layer running statistics, updated by EMA in train mode."""
+    """Per-layer running statistics, updated by EMA in batchnorm_forward."""
 
     running_mean: np.ndarray
     running_var: np.ndarray
@@ -501,12 +501,11 @@ class BatchNormState:
 class BatchNormCache:
     xhat: np.ndarray
     invstd: np.ndarray  # per channel
-    mode: str
 
 
 def running_statistics(state: BatchNormState) -> tuple[np.ndarray, np.ndarray]:
-    """Inference mean and invstd = 1/sqrt(var + eps), shared by both
-    inference paths so that they cannot drift apart.
+    """The mean and invstd = 1/sqrt(var + eps) that batchnorm_relu_infer
+    normalizes by.
 
     The running statistics are an EMA that starts at mean 0 and var 1, so
     after t updates m^t of their weight still sits on those start values;
@@ -538,41 +537,35 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def batchnorm_forward(
-    x: Tensor, gamma: Parameter, beta: Parameter, state: BatchNormState, mode: str
+    x: Tensor, gamma: Parameter, beta: Parameter, state: BatchNormState
 ) -> tuple[Tensor, BatchNormCache]:
-    """Per-channel normalization over N,H,W; train mode updates running
-    stats, infer mode reads them through running_statistics.
+    """Per-channel normalization over N,H,W by the batch statistics, which
+    also update the running ones.
 
     Works on the channel-major view of x: the centred input is built once
-    as a channel-major array that becomes xhat in place (train mode takes
-    the variance from the dot products of its rows), and the output is
+    as a channel-major array that becomes xhat in place (the variance
+    comes from the dot products of its rows), and the output is
     _bn_affine(xhat), a new array."""
-    if mode not in ("train", "infer"):
-        raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
     c = x.shape[1]
     if gamma.value.shape != (c,) or beta.value.shape != (c,):
         raise ValueError(f"gamma/beta must have {c} elements")
     xcm = x.data.transpose(1, 0, 2, 3)
-    if mode == "train":
-        mean = xcm.mean(axis=(1, 2, 3))
-    else:
-        mean, invstd = running_statistics(state)
+    mean = xcm.mean(axis=(1, 2, 3))
     xhat = np.subtract(xcm, mean.reshape(-1, 1, 1, 1), order="C")
-    if mode == "train":
-        rows = xhat.reshape(c, -1)
-        var = _row_dots(rows, rows) / rows.shape[1]
-        m = BN_MOMENTUM
-        state.running_mean = (m * state.running_mean + (1.0 - m) * mean).astype(
-            state.running_mean.dtype
-        )
-        state.running_var = (m * state.running_var + (1.0 - m) * var).astype(
-            state.running_var.dtype
-        )
-        state.num_updates += 1
-        invstd = 1.0 / np.sqrt(var + BN_EPS)
+    rows = xhat.reshape(c, -1)
+    var = _row_dots(rows, rows) / rows.shape[1]
+    m = BN_MOMENTUM
+    state.running_mean = (m * state.running_mean + (1.0 - m) * mean).astype(
+        state.running_mean.dtype
+    )
+    state.running_var = (m * state.running_var + (1.0 - m) * var).astype(
+        state.running_var.dtype
+    )
+    state.num_updates += 1
+    invstd = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= invstd.reshape(-1, 1, 1, 1)
     return (Tensor(_bn_affine(xhat, gamma, beta).transpose(1, 0, 2, 3)),
-            BatchNormCache(xhat.transpose(1, 0, 2, 3), invstd, mode))
+            BatchNormCache(xhat.transpose(1, 0, 2, 3), invstd))
 
 
 def _bn_affine(xhat: np.ndarray, gamma: Parameter, beta: Parameter,
@@ -586,11 +579,11 @@ def _bn_affine(xhat: np.ndarray, gamma: Parameter, beta: Parameter,
 
 
 def batchnorm_relu_forward(
-    x: Tensor, gamma: Parameter, beta: Parameter, state: BatchNormState, mode: str
+    x: Tensor, gamma: Parameter, beta: Parameter, state: BatchNormState
 ) -> tuple[Tensor, BatchNormCache]:
     """relu(batchnorm_forward(x)) in place on BN's output; the cache is
     BN's alone, as the backward recomputes the mask from its xhat."""
-    y, cache = batchnorm_forward(x, gamma, beta, state, mode)
+    y, cache = batchnorm_forward(x, gamma, beta, state)
     np.maximum(y.data, 0, out=y.data)
     return y, cache
 
@@ -598,10 +591,10 @@ def batchnorm_relu_forward(
 def batchnorm_relu_infer(
     h: np.ndarray, gamma: Parameter, beta: Parameter, state: BatchNormState
 ) -> None:
-    """relu(batchnorm_forward(h, mode="infer")) in place on a channel-major
-    array h (C, ...), in the infer branch's order, (h - mean) * invstd,
-    then _bn_affine, so the bits are the same; only the ReLU differs in
-    form (np.maximum propagates NaN where relu_forward zeroes it)."""
+    """The inference BN, then ReLU, in place on a channel-major array
+    h (C, ...): (h - mean) * invstd with the running_statistics, then
+    _bn_affine, then np.maximum(h, 0) (which propagates NaN, where
+    relu_forward zeroes it)."""
     mean, invstd = running_statistics(state)
     per_channel = (-1,) + (1,) * (h.ndim - 1)
     h -= mean.reshape(per_channel)
@@ -616,9 +609,8 @@ def batchnorm_backward(
     """Gradient wrt the BN input; accumulates gamma.grad and beta.grad.
 
     With the per-channel sums dbeta = sum(g) and dgamma = sum(g * xhat)
-    over the m = N*H*W positions, train mode gives
-    dx = gamma * invstd * (g - dbeta/m - xhat * dgamma/m); in infer mode
-    the statistics are constants and dx = gamma * invstd * g. Runs on
+    over the m = N*H*W positions,
+    dx = gamma * invstd * (g - dbeta/m - xhat * dgamma/m). Runs on
     channel-major rows and returns a channel-major Tensor."""
     if cache is None:
         raise ValueError("batchnorm_backward requires the forward cache")
@@ -629,15 +621,11 @@ def batchnorm_backward(
     dbeta = g.sum(axis=1)
     gamma.add_grad(dgamma)
     beta.add_grad(dbeta)
-    scale = (gamma.value * cache.invstd)[:, None]
-    if cache.mode == "infer":
-        dx = g * scale
-    else:
-        m = g.shape[1]
-        dx = xhat * (-dgamma / m)[:, None]
-        dx += g
-        dx -= (dbeta / m)[:, None]
-        dx *= scale
+    m = g.shape[1]
+    dx = xhat * (-dgamma / m)[:, None]
+    dx += g
+    dx -= (dbeta / m)[:, None]
+    dx *= (gamma.value * cache.invstd)[:, None]
     return Tensor(dx.reshape(c, n, h, w).transpose(1, 0, 2, 3))
 
 

@@ -212,7 +212,7 @@ def fit(
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]  # last partial batch kept
             batch, masks, weights = _as_batch(train_patches, idx, dt, cfg.use_weights)
-            logits = net.forward(batch, mode="train")
+            logits = net.forward(batch)
             loss, grad = combined_loss(logits, masks, net.parameters, loss_cfg, weights)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite training loss at epoch {epoch}")

@@ -3,10 +3,16 @@
 These deliberately share no code with the implementation: the conv
 oracle is plain nested loops, the IoU oracle counts pixels per class
 with integer arithmetic, and the bilinear oracle evaluates the
-half-pixel formula pointwise.
+half-pixel formula pointwise. The inference BN oracle is pointwise
+NumPy arithmetic, and the inference walk oracle builds on it, reusing
+only the conv and upsample ops that the oracles above check.
 """
 
 import numpy as np
+
+from seget import ops
+from seget.model import _ConvBnRelu
+from seget.tensor import Tensor
 
 
 def naive_conv2d(x, kernel, bias, stride=1, dilation=1):
@@ -71,3 +77,41 @@ def bilinear_half_pixel_point(src, r, c):
         + src[y0, x1] * (1 - fy) * fx
         + src[y1, x1] * fy * fx
     )
+
+
+def bn_relu_infer_reference(x, gamma, beta, mean, invstd):
+    """Inference BN then ReLU of an (N, C, H, W) array with per-channel
+    statistics: (x - mean) * invstd, then * gamma + beta, then max(., 0),
+    each step rounded to x's dtype."""
+    dt = x.dtype
+
+    def per_channel(v):
+        return np.asarray(v, dtype=dt).reshape(1, -1, 1, 1)
+
+    h = (x - per_channel(mean)) * per_channel(invstd)
+    return np.maximum(h * per_channel(gamma) + per_channel(beta), 0)
+
+
+def infer_reference(net, x):
+    """The logits of net's inference walk, by its node list: each conv is
+    ops.conv2d_forward with no epilogue, followed in a BN unit by
+    bn_relu_infer_reference on the unit's ops.running_statistics; each
+    upsample is ops.bilinear_upsample_2x_forward; a concat's value is the
+    list of its inputs, which the conv reading it takes as its sources."""
+    slots = {0: x}
+    for nd in net._nodes:
+        xs = [slots[s] for s in nd.inputs]
+        if nd.kind == "concat":
+            slots[nd.output] = xs
+        elif nd.kind == "upsample":
+            slots[nd.output] = ops.bilinear_upsample_2x_forward(xs[0])[0]
+        elif isinstance(nd.unit, _ConvBnRelu):
+            u = nd.unit
+            y = ops.conv2d_forward(xs[0], u.spec, u.kernel, None)[0]
+            mean, invstd = ops.running_statistics(u.state)
+            slots[nd.output] = Tensor(bn_relu_infer_reference(
+                y.data, u.gamma.value, u.beta.value, mean, invstd))
+        else:
+            u = nd.unit
+            slots[nd.output] = ops.conv2d_forward(xs[0], u.spec, u.kernel, u.bias)[0]
+    return np.ascontiguousarray(slots[net._nodes[-1].output].data)

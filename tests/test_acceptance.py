@@ -109,7 +109,7 @@ def test_criterion_5_shape_contract():
     passed_sizes = []
     for hw in (16, 32, 48, 64, 512):
         x = Tensor(np.zeros((1, 1, hw, hw), dtype=np.float32))
-        y = net.forward(x, mode="infer")
+        y = net.infer(x)
         assert y.shape == (1, 1, hw, hw)
         passed_sizes.append(hw)
     with pytest.raises(ValueError, match="divisible"):

@@ -93,7 +93,6 @@ MALFORMED_SETTINGS = [
     "train.threshold=1.5",
     "train.threshold=0",
     "loss.l2_lambda=nan",
-    "loss.weight_cap=nan",
 ]
 
 
@@ -429,7 +428,7 @@ class TestCliPredict:
         net, _ = load_checkpoint(trained_dir / "best.ckpt")
         images = normalize(read_mrc(synth_dir / "volume.mrc"))
         x = Tensor(images[0][None, None].astype(np.float32))
-        direct = sigmoid(net.forward(x, mode="infer").data[0, 0])
+        direct = sigmoid(net.infer(x)[0, 0])
         np.testing.assert_allclose(probs[0], direct, rtol=1e-6, atol=1e-7)
 
     def test_prediction_deterministic(self, synth_dir, trained_dir, tmp_path):
@@ -462,7 +461,7 @@ class TestCliPredict:
         net, _ = load_checkpoint(trained_dir / "best.ckpt")
         images = normalize(read_mrc(synth_dir / "volume.mrc"))
         x = Tensor(images[0, 16:, 16:][None, None].astype(np.float32))
-        corner = sigmoid(net.forward(x, mode="infer").data[0, 0])
+        corner = sigmoid(net.infer(x)[0, 0])
         # only the edge window reaches rows and columns 28..31
         np.testing.assert_allclose(probs[0, 28:, 28:], corner[12:, 12:], rtol=1e-6, atol=1e-7)
 
@@ -608,6 +607,33 @@ class TestCliPredict:
                        "--window", "32", "--stride", "32", "--threshold", threshold])
         assert rc == 1
         assert "--threshold" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("window, stride, cause", [
+        ("32", "0", "--stride"), ("32", "40", "--stride"), ("0", "1", "--window"),
+    ])
+    def test_bad_window_or_stride_exits_1_before_reading(self, tmp_path, capsys, window,
+                                                          stride, cause):
+        """Refused before the (missing) checkpoint is opened, which would
+        exit 4; an empty window is named as the cause, not the stride."""
+        out = tmp_path / "x"
+        rc = cli.main(["predict", "--checkpoint", str(tmp_path / "none.ckpt"),
+                       "--volume", str(tmp_path / "none.mrc"), "--out-dir", str(out),
+                       "--window", window, "--stride", stride])
+        assert rc == 1
+        assert f"{cause} must" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_window_the_network_cannot_take_exits_2_before_reading_the_volume(
+            self, trained_dir, tmp_path, capsys):
+        """The window is checked against the checkpoint's depth before the
+        (missing) volume is opened, which would exit 4."""
+        out = tmp_path / "x"
+        rc = cli.main(["predict", "--checkpoint", str(trained_dir / "best.ckpt"),
+                       "--volume", str(tmp_path / "none.mrc"), "--out-dir", str(out),
+                       "--window", "30", "--stride", "30"])
+        assert rc == 2
+        assert "not divisible" in capsys.readouterr().err
         assert not out.exists()
 
 

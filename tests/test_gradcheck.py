@@ -121,23 +121,26 @@ def test_network_suite_tiny_config():
 ])
 def test_deep_wiring_matches_finite_differences(cfg, shape):
     """Decoder, fusion and head fan-out and the summed center branches
-    at depth >= 3, on 4 sampled coordinates per parameter tensor.
+    at depth >= 3, through the training walk, on 4 sampled coordinates
+    per parameter tensor.
 
-    In infer mode BN is affine, so along one parameter the projected
-    logits are piecewise linear: both one-sided slopes agree unless a
-    ReLU kink lies within the step, and then the step shrinks. Being
-    linear between kinks, a wide first step costs no truncation error;
-    at 1e-6 a slope near 1e-8 drowned in float64 rounding of the
-    objective, and at 1e-4 kinks escape the one-sided check."""
+    The gammas, betas and logit bias first move off their build values
+    1 and 0: at beta 0, ReLU is positively homogeneous and the next BN
+    scale-invariant, so every gamma gradient is zero up to round-off
+    (near 6e-9), which no finite difference resolves. Between ReLU kinks
+    the objective is smooth but curved, as BN divides by the batch's own
+    deviation, so the first step is a small 1e-7; where the one-sided
+    slopes disagree, a kink lies within the step and the step shrinks."""
     rng = np.random.default_rng(0)
     net = build(cfg, seed=1)
+    for name, p in net.parameters.items():
+        if not name.endswith(".kernel"):
+            p.value += 0.3 * rng.standard_normal(p.value.shape)
     x = Tensor(rng.standard_normal(shape))
-    for _ in range(3):  # populate the running stats
-        net.forward(x, mode="train")
     proj = rng.standard_normal(shape)
 
     def value() -> float:
-        return float((net.forward(x, mode="infer").data * proj).sum())
+        return float((net.forward(x).data * proj).sum())
 
     def shifted(flat: np.ndarray, i: int, step: float) -> tuple[float, float]:
         orig = flat[i]
@@ -157,7 +160,7 @@ def test_deep_wiring_matches_finite_differences(cfg, shape):
         analytic = p.grad.ravel()[coords]
         numeric = np.empty_like(analytic)
         for k, i in enumerate(coords):
-            step = 1e-5
+            step = 1e-7
             plus, minus = shifted(flat, i, step)
             while step > 1e-9 and gc.relative_error(plus - f0, f0 - minus) > 1e-3:
                 step /= 10

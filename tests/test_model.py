@@ -16,6 +16,7 @@ from seget.checkpoint import _array_items, load_checkpoint, save_checkpoint
 from seget.errors import DataFormatError
 from seget.model import NetworkConfig, SegETNetwork, _ConvBnRelu, build, probe_center_branches
 from seget.tensor import ConvSpec, Tensor
+from oracles import infer_reference
 
 TINY = NetworkConfig(base_filters=2, depth=1, dilation_rates=(1, 2), dtype="float64")
 SMALL = NetworkConfig(base_filters=4, depth=2, dilation_rates=(1, 2))
@@ -117,7 +118,7 @@ class TestForward:
     def test_64x64_through_depth4(self):
         cfg = NetworkConfig(base_filters=4, depth=4)
         net = build(cfg)
-        y = net.forward(rand_input(cfg, hw=64), mode="infer")
+        y = net.infer(rand_input(cfg, hw=64))
         assert y.shape == (1, 1, 64, 64)
 
     @pytest.mark.slow
@@ -125,13 +126,13 @@ class TestForward:
         cfg = NetworkConfig()
         net = build(cfg)
         x = Tensor(np.zeros((2, 1, 512, 512), dtype=np.float32))
-        y = net.forward(x, mode="infer")
+        y = net.infer(x)
         assert y.shape == (2, 1, 512, 512)
 
     def test_48_is_divisible_by_16_and_accepted(self):
         cfg = NetworkConfig(base_filters=2, depth=4)
         net = build(cfg)
-        y = net.forward(rand_input(cfg, hw=48), mode="infer")
+        y = net.infer(rand_input(cfg, hw=48))
         assert y.shape == (1, 1, 48, 48)
 
     def test_indivisible_extent_rejected_with_divisibility_diagnostic(self):
@@ -144,16 +145,31 @@ class TestForward:
         cfg = NetworkConfig(base_filters=2, depth=2)
         net = build(cfg)
         for hw in range(16, 129, 2 ** cfg.depth * 2):
-            y = net.forward(rand_input(cfg, hw=hw), mode="infer")
+            y = net.infer(rand_input(cfg, hw=hw))
             assert y.shape[2:] == (hw, hw)
 
-    def test_infer_mode_is_deterministic_bitwise(self):
+    def test_infer_is_deterministic_bitwise(self):
         cfg = SMALL
         net = build(cfg, seed=1)
         x = rand_input(cfg, seed=9)
-        a = net.forward(x, mode="infer")
-        b = net.forward(x, mode="infer")
+        assert np.array_equal(net.infer(x), net.infer(x))
+
+    def test_forward_accepts_no_mode_but_train(self):
+        """forward is the training walk; inference is infer()."""
+        net = build(TINY)
+        with pytest.raises(ValueError, match="use infer"):
+            net.forward(rand_input(TINY), mode="infer")
+
+    def test_forward_with_mode_train_is_forward(self):
+        """mode="train", which older callers still pass, names the one walk:
+        the same logits and the same running statistics."""
+        x = rand_input(TINY, n=2, seed=3)
+        nets = [build(TINY, seed=1) for _ in range(2)]
+        a = nets[0].forward(x, mode="train")
+        b = nets[1].forward(x)
         assert np.array_equal(a.data, b.data)
+        for (na, va), (nb, vb) in zip(_array_items(nets[0]), _array_items(nets[1])):
+            assert na == nb and np.array_equal(va, vb), na
 
     def test_skip_paths_are_live(self):
         """With block i's stride-2 conv zeroed, the block reaches the logits
@@ -164,17 +180,17 @@ class TestForward:
         for i in range(cfg.depth):
             net = build(cfg, seed=2)
             net.parameters[f"enc{i}.c4.kernel"].value[...] = 0.0
-            base = net.forward(x, mode="infer")
+            base = net.infer(x)
             net.parameters[f"enc{i}.c3.kernel"].value[...] *= 2.0
-            scaled = net.forward(x, mode="infer")
-            assert not np.allclose(base.data, scaled.data), f"skip_{i} appears dead"
+            scaled = net.infer(x)
+            assert not np.allclose(base, scaled), f"skip_{i} appears dead"
 
 
 class TestBackward:
     def test_zero_grad_logits_gives_zero_param_grads(self):
         net = build(TINY)
         x = rand_input(TINY)
-        y = net.forward(x, mode="train")
+        y = net.forward(x)
         net.zero_grads()
         net.backward(Tensor(np.zeros_like(y.data)))
         for name, p in net.parameters.items():
@@ -183,7 +199,7 @@ class TestBackward:
     def test_double_backward_doubles_grads_exactly(self):
         net = build(TINY, seed=4)
         x = rand_input(TINY, seed=5)
-        y = net.forward(x, mode="train")
+        y = net.forward(x)
         g = Tensor(np.ones_like(y.data))
         net.zero_grads()
         net.backward(g)
@@ -199,7 +215,7 @@ class TestBackward:
 
     def test_backward_shape_mismatch_rejected(self):
         net = build(TINY)
-        net.forward(rand_input(TINY), mode="train")
+        net.forward(rand_input(TINY))
         with pytest.raises(ValueError, match="does not match"):
             net.backward(Tensor(np.zeros((1, 1, 4, 4))))
 
@@ -212,7 +228,7 @@ class TestBackward:
 
         def run():
             net = build(cfg, seed=2)
-            y = net.forward(rand_input(cfg, n=2, seed=3), mode="train")
+            y = net.forward(rand_input(cfg, n=2, seed=3))
             g = np.random.default_rng(4).standard_normal(y.shape).astype(y.data.dtype)
             net.zero_grads()
             net.backward(Tensor(g))
@@ -251,7 +267,7 @@ class TestBackward:
     def test_everything_finite_after_forward_backward(self):
         cfg = NetworkConfig(base_filters=4, depth=3)
         net = build(cfg, seed=8)
-        y = net.forward(rand_input(cfg, n=2, seed=9), mode="train")
+        y = net.forward(rand_input(cfg, n=2, seed=9))
         assert np.all(np.isfinite(y.data))
         net.zero_grads()
         net.backward(Tensor(np.ones_like(y.data)))
@@ -269,13 +285,13 @@ def trained(cfg, shape, updates, seed=0):
         if not name.endswith(".kernel"):
             p.value += (0.3 * rng.standard_normal(p.value.shape)).astype(p.value.dtype)
     for _ in range(updates):
-        net.forward(Tensor(rng.random(shape).astype(cfg.np_dtype)), mode="train")
+        net.forward(Tensor(rng.random(shape).astype(cfg.np_dtype)))
     return net, Tensor(rng.random(shape).astype(cfg.np_dtype))
 
 
 class TestInfer:
-    """net.infer is forward(mode="infer") without bookkeeping: the same bits,
-    and no state touched."""
+    """net.infer gives the bits of the reference inference walk
+    (oracles.infer_reference) and touches no state."""
 
     @pytest.mark.parametrize("cfg, shape, updates", [
         (NetworkConfig(base_filters=4, depth=4), (12, 1, 64, 64), 2),
@@ -284,9 +300,9 @@ class TestInfer:
         (NetworkConfig(base_filters=2, depth=1, dilation_rates=(1,)), (5, 1, 18, 10), 1),
         (NetworkConfig(base_filters=8, depth=2, dilation_rates=(2, 3)), (1, 1, 16, 36), 1),
     ], ids=["base4-depth4", "float64-depth3", "depth1-non-square", "batch1-rates23"])
-    def test_logits_equal_infer_mode_forward(self, cfg, shape, updates):
+    def test_logits_equal_reference_walk(self, cfg, shape, updates):
         net, x = trained(cfg, shape, updates)
-        expected = net.forward(x, mode="infer").data
+        expected = infer_reference(net, x)
         got = net.infer(x)
         assert got.shape == expected.shape and got.dtype == expected.dtype
         assert np.array_equal(got, expected)
@@ -301,13 +317,13 @@ class TestInfer:
         hw=st.tuples(st.integers(1, 3), st.integers(1, 3)),
         updates=st.integers(1, 3),
     )
-    def test_logits_equal_infer_mode_forward_property(self, dtype, depth, base, rates, n, hw,
-                                                      updates):
+    def test_logits_equal_reference_walk_property(self, dtype, depth, base, rates, n, hw,
+                                                  updates):
         cfg = NetworkConfig(base_filters=base, depth=depth, dilation_rates=tuple(rates),
                             dtype=dtype)
         shape = (n, 1, hw[0] * cfg.downsample_factor, hw[1] * cfg.downsample_factor)
         net, x = trained(cfg, shape, updates)
-        assert np.array_equal(net.infer(x), net.forward(x, mode="infer").data)
+        assert np.array_equal(net.infer(x), infer_reference(net, x))
 
     def test_leaves_training_state_alone(self):
         """forward(train), infer, backward gives every gradient of
@@ -326,7 +342,7 @@ class TestInfer:
         grads = []
         for run_infer in (False, True):
             net, x = trained(cfg, (4, 1, 32, 32), 1, seed=3)
-            y = net.forward(x, mode="train")
+            y = net.forward(x)
             caches, stats = state(net)
             if run_infer:
                 net.infer(rand_input(cfg, n=2, hw=48, seed=4))
@@ -348,7 +364,7 @@ class TestInfer:
         (OC, columns) grid, and returns a view of that grid's crop."""
         cfg = NetworkConfig(base_filters=2, depth=4)
         net, x = trained(cfg, (2, 1, 32, 32), 1)
-        net.forward(x, mode="train")
+        net.forward(x)
 
         def caches():
             units = [nd.unit for nd in net._nodes if nd.kind == "conv"]
@@ -391,15 +407,13 @@ class TestInfer:
         assert len(after) == len(before) and all(a is b for a, b in zip(before, after))
 
     def test_infer_reproduces_the_train_batch_after_one_update(self):
-        """With the bias-corrected running statistics, one train-mode forward
-        leaves statistics equal to that batch's own, so infer mode gives
-        the train-mode logits back (up to the rounding of the EMA)."""
+        """With the bias-corrected running statistics, one training forward
+        leaves statistics equal to that batch's own, so infer gives the
+        training logits back (up to the rounding of the EMA)."""
         cfg = NetworkConfig(base_filters=3, depth=2, dilation_rates=(1, 2), dtype="float64")
         net = build(cfg, seed=5)
         x = rand_input(cfg, n=3, hw=32, seed=6)
-        train = net.forward(x, mode="train").data
-        np.testing.assert_allclose(net.forward(x, mode="infer").data, train,
-                                   rtol=1e-9, atol=1e-9)
+        train = net.forward(x).data
         np.testing.assert_allclose(net.infer(x), train, rtol=1e-9, atol=1e-9)
 
     def test_rejects_what_forward_rejects(self):
@@ -431,11 +445,9 @@ class TestConvBnReluUnit:
         return unit, x
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("mode", ["train", "infer"])
-    def test_recomputed_mask_equals_forward_mask(self, dtype, mode):
+    def test_recomputed_mask_equals_forward_mask(self, dtype):
         unit, x = self.unit_with_zero_outputs(dtype)
-        unit.forward(Tensor(x.data * 2.0 + 1.0), "train")  # running statistics for infer
-        out = unit.forward(x, mode).data.copy()
+        out = unit.forward(x).data.copy()
         assert np.all(out[:, 0] == 0) and np.all(out[:, 1] == 0.5)
         assert (out > 0).any() and (out[:, 2:] == 0).any()
         assert np.array_equal(ops._relu_mask(unit._bn_cache, unit.gamma, unit.beta), out > 0)
@@ -445,7 +457,7 @@ class TestConvBnReluUnit:
         """The unit's gradients are those of relu_backward on forward's
         mask, then batchnorm_backward, then the conv's backward."""
         unit, x = self.unit_with_zero_outputs(dtype)
-        out = unit.forward(x, "train").data.copy()
+        out = unit.forward(x).data.copy()
         g = Tensor(np.random.default_rng(8).standard_normal(out.shape).astype(dtype))
         results = []
         for reference in (False, True):
@@ -482,7 +494,7 @@ class TestDescribe:
         net = build(cfg)
         hw = 4 * cfg.downsample_factor
         summary = net.describe(ref_hw=(hw, hw))
-        y = net.forward(rand_input(cfg, hw=hw), mode="infer")
+        y = net.infer(rand_input(cfg, hw=hw))
         assert tuple(summary.rows[-1].out_shape) == (1,) + y.shape[1:]
 
     def test_table_renders(self):
@@ -567,13 +579,12 @@ class TestCheckpoint:
         cfg = SMALL
         net = build(cfg, seed=6)
         x = rand_input(cfg, seed=7)
-        net.forward(x, mode="train")  # populate running stats
-        before = net.forward(x, mode="infer")
+        net.forward(x)  # populate running stats
+        before = net.infer(x)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, net, epoch=3, val_miou=0.5)
         loaded, meta = load_checkpoint(path)
-        after = loaded.forward(x, mode="infer")
-        np.testing.assert_array_equal(before.data, after.data)
+        np.testing.assert_array_equal(loaded.infer(x), before)
         assert meta == {"epoch": 3, "val_miou": 0.5}
 
     @settings(max_examples=200, deadline=None)
@@ -637,7 +648,7 @@ class TestCheckpoint:
 
     def test_loading_draws_nothing(self, tmp_path, monkeypatch):
         net = build(SMALL, seed=6)
-        net.forward(rand_input(SMALL, n=2, seed=7), mode="train")  # BN state off its start
+        net.forward(rand_input(SMALL, n=2, seed=7))  # BN state off its start
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, net, epoch=3, val_miou=0.5)
         _refuse_draws(monkeypatch)
@@ -698,13 +709,13 @@ class TestCheckpoint:
     def test_legacy_config_echo_loads_and_infers_identically(self, tmp_path):
         net = build(SMALL, seed=6)
         x = rand_input(SMALL, seed=7)
-        net.forward(x, mode="train")
-        before = net.forward(x, mode="infer")
+        net.forward(x)
+        before = net.infer(x)
         path = tmp_path / "legacy.ckpt"
         save_checkpoint(path, net, epoch=3, val_miou=0.5)
         self._with_config_echo(path, **self.LEGACY_ECHO)
         loaded, _ = load_checkpoint(path)
-        np.testing.assert_array_equal(loaded.forward(x, mode="infer").data, before.data)
+        np.testing.assert_array_equal(loaded.infer(x), before)
 
     @pytest.mark.parametrize("key, value", [
         ("input_channels", 3), ("skip_reduction", 4),

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from seget import ops
 from seget.tensor import ConvSpec, Parameter, Tensor
-from oracles import bilinear_half_pixel_point, naive_conv2d
+from oracles import bilinear_half_pixel_point, bn_relu_infer_reference, naive_conv2d
 
 
 def make_conv(spec, kernel_values, bias_values=None):
@@ -606,27 +606,28 @@ class TestBatchNorm:
         gamma = Parameter(np.ones(3), "bn-gamma")
         beta = Parameter(np.zeros(3), "bn-beta")
         state = ops.BatchNormState.create(3, dtype=np.float64)
-        y, _ = ops.batchnorm_forward(x, gamma, beta, state, "train")
+        y, _ = ops.batchnorm_forward(x, gamma, beta, state)
         for c in range(3):
             ch = y.data[:, c]
             assert abs(ch.mean()) < 1e-6
             assert abs(ch.var() - 1.0) < 1e-3  # eps shrinks variance slightly
 
     def test_infer_with_identity_stats(self):
-        x = Tensor(np.linspace(-2, 2, 32).reshape(1, 2, 4, 4))
+        x = np.linspace(-2, 2, 32).reshape(1, 2, 4, 4)
         gamma = Parameter(np.ones(2), "bn-gamma")
         beta = Parameter(np.zeros(2), "bn-beta")
         state = ops.BatchNormState.create(2, dtype=np.float64)
-        y, _ = ops.batchnorm_forward(x, gamma, beta, state, "infer")
-        np.testing.assert_allclose(y.data, x.data / np.sqrt(1.0 + ops.BN_EPS))
+        h = x.transpose(1, 0, 2, 3).copy()
+        ops.batchnorm_relu_infer(h, gamma, beta, state)
+        np.testing.assert_allclose(h.transpose(1, 0, 2, 3),
+                                   np.maximum(x, 0) / np.sqrt(1.0 + ops.BN_EPS))
 
     def test_infer_before_training_warns(self, caplog):
-        x = Tensor(np.zeros((1, 1, 2, 2)))
         gamma = Parameter(np.ones(1), "bn-gamma")
         beta = Parameter(np.zeros(1), "bn-beta")
         state = ops.BatchNormState.create(1, dtype=np.float64)
         with caplog.at_level("WARNING"):
-            ops.batchnorm_forward(x, gamma, beta, state, "infer")
+            ops.batchnorm_relu_infer(np.zeros((1, 1, 2, 2)), gamma, beta, state)
         assert any("default-initialized" in r.message for r in caplog.records)
 
     def test_running_stats_ema(self):
@@ -635,7 +636,7 @@ class TestBatchNorm:
         gamma = Parameter(np.ones(2), "bn-gamma")
         beta = Parameter(np.zeros(2), "bn-beta")
         state = ops.BatchNormState.create(2, dtype=np.float64)
-        ops.batchnorm_forward(Tensor(x), gamma, beta, state, "train")
+        ops.batchnorm_forward(Tensor(x), gamma, beta, state)
         expected_mean = 0.99 * 0.0 + 0.01 * x.mean(axis=(0, 2, 3))
         np.testing.assert_allclose(state.running_mean, expected_mean)
         assert state.num_updates == 1
@@ -643,18 +644,20 @@ class TestBatchNorm:
 
     def test_infer_after_one_update_reproduces_the_train_batch(self):
         """Bias-corrected running statistics equal the statistics of the one
-        batch they have seen, so infer mode normalizes it as train mode
-        did."""
+        batch they have seen, so the inference BN + ReLU normalizes it as
+        the training one did."""
         rng = np.random.default_rng(3)
         for dtype, tol in ((np.float64, 1e-10), (np.float32, 2e-5)):
             x = Tensor((rng.standard_normal((4, 3, 5, 5)) * 3.0 + 2.0).astype(dtype))
             gamma = Parameter(rng.standard_normal(3).astype(dtype), "bn-gamma")
             beta = Parameter(rng.standard_normal(3).astype(dtype), "bn-beta")
             state = ops.BatchNormState.create(3, dtype=dtype)
-            train, _ = ops.batchnorm_forward(x, gamma, beta, state, "train")
-            infer, _ = ops.batchnorm_forward(x, gamma, beta, state, "infer")
-            assert infer.data.dtype == dtype
-            np.testing.assert_allclose(infer.data, train.data, rtol=tol, atol=tol)
+            train, _ = ops.batchnorm_relu_forward(x, gamma, beta, state)
+            infer = np.ascontiguousarray(x.data.transpose(1, 0, 2, 3))
+            ops.batchnorm_relu_infer(infer, gamma, beta, state)
+            assert infer.dtype == dtype
+            np.testing.assert_allclose(infer.transpose(1, 0, 2, 3), train.data,
+                                       rtol=tol, atol=tol)
 
     def test_corrected_variance_is_clamped_at_zero(self):
         """A constant channel has batch variance 0, so its EMA variance is
@@ -667,7 +670,7 @@ class TestBatchNorm:
         gamma = Parameter(np.ones(1, dtype=np.float32), "bn-gamma")
         beta = Parameter(np.zeros(1, dtype=np.float32), "bn-beta")
         ops.batchnorm_forward(Tensor(np.full((2, 1, 3, 3), 4.0, dtype=np.float32)),
-                              gamma, beta, state, "train")
+                              gamma, beta, state)
         state.running_var[0] = np.nextafter(np.float32(ops.BN_MOMENTUM), np.float32(0))
         assert float(state.running_var[0]) < ops.BN_MOMENTUM  # the rounding guarded against
         mean, invstd = ops.running_statistics(state)
@@ -675,31 +678,32 @@ class TestBatchNorm:
         np.testing.assert_allclose(invstd, [1.0 / np.sqrt(ops.BN_EPS)], rtol=1e-6)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_fused_infer_epilogue_equals_batchnorm_then_relu(self, dtype):
+    def test_fused_infer_epilogue_equals_pointwise_oracle(self, dtype):
         rng = np.random.default_rng(4)
-        x = Tensor(rng.standard_normal((3, 4, 5, 6)).astype(dtype))
+        x = rng.standard_normal((3, 4, 5, 6)).astype(dtype)
         gamma = Parameter(rng.standard_normal(4).astype(dtype), "bn-gamma")
         beta = Parameter(rng.standard_normal(4).astype(dtype), "bn-beta")
         state = ops.BatchNormState.create(4, dtype=dtype)
-        ops.batchnorm_forward(Tensor(x.data * 2.0 + 1.0), gamma, beta, state, "train")
-        bn, _ = ops.batchnorm_forward(x, gamma, beta, state, "infer")
-        expected, _ = ops.relu_forward(bn)
-        h = np.ascontiguousarray(x.data.transpose(1, 0, 2, 3))
+        ops.batchnorm_forward(Tensor(x * 2.0 + 1.0), gamma, beta, state)
+        expected = bn_relu_infer_reference(x, gamma.value, beta.value,
+                                           *ops.running_statistics(state))
+        h = np.ascontiguousarray(x.transpose(1, 0, 2, 3))
         ops.batchnorm_relu_infer(h, gamma, beta, state)
-        assert np.array_equal(h.transpose(1, 0, 2, 3), expected.data)
+        assert h.dtype == expected.dtype == dtype
+        assert np.array_equal(h.transpose(1, 0, 2, 3), expected)
 
 
 class TestBatchNormRelu:
     """The unit's fused pair gives the reference ops' results:
     relu_forward after batchnorm_forward, and batchnorm_backward after
-    relu_backward on the forward's mask."""
+    relu_backward on the forward's mask; the inference pair gives the
+    pointwise oracle's."""
 
     @staticmethod
     def inputs(dtype, seed=9):
         """Channel-major input whose channels 0 and 1 are all zero, so their
-        xhat is 0 in both modes; with beta 0 and 0.5 every output of
-        channel 0 is exactly 0 and of channel 1 exactly 0.5. Running
-        statistics come from one train batch."""
+        xhat is 0; with beta 0 and 0.5 every output of channel 0 is exactly
+        0 and of channel 1 exactly 0.5."""
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((2, 6, 5, 4)).astype(dtype)
         x[:, :2] = 0.0
@@ -707,17 +711,15 @@ class TestBatchNormRelu:
         beta = Parameter(rng.standard_normal(6).astype(dtype), "bn-beta")
         beta.value[:2] = (0.0, 0.5)
         state = ops.BatchNormState.create(6, dtype=dtype)
-        ops.batchnorm_forward(Tensor(x * 2.0), gamma, beta, state, "train")
         return channel_major(x), gamma, beta, state
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("mode", ["train", "infer"])
-    def test_forward_equals_relu_of_batchnorm(self, dtype, mode):
+    def test_forward_equals_relu_of_batchnorm(self, dtype):
         x, gamma, beta, state = self.inputs(dtype)
         ref_state = copy.deepcopy(state)
-        bn, ref_cache = ops.batchnorm_forward(x, gamma, beta, ref_state, mode)
+        bn, ref_cache = ops.batchnorm_forward(x, gamma, beta, ref_state)
         expected, _ = ops.relu_forward(bn)
-        y, cache = ops.batchnorm_relu_forward(x, gamma, beta, state, mode)
+        y, cache = ops.batchnorm_relu_forward(x, gamma, beta, state)
         assert np.all(y.data[:, 0] == 0) and np.all(y.data[:, 1] == 0.5)
         assert (y.data[:, 2:] > 0).any() and (y.data[:, 2:] == 0).any()
         assert y.data.dtype == expected.data.dtype == dtype
@@ -730,12 +732,11 @@ class TestBatchNormRelu:
         assert np.array_equal(ops._relu_mask(cache, gamma, beta), expected.data > 0)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("mode", ["train", "infer"])
-    def test_backward_equals_batchnorm_backward_of_relu_backward(self, dtype, mode):
+    def test_backward_equals_batchnorm_backward_of_relu_backward(self, dtype):
         """Equal values; a masked-out zero may differ in sign, as the pair
         masks by multiplying and relu_backward by np.where."""
         x, gamma, beta, state = self.inputs(dtype)
-        y, cache = ops.batchnorm_relu_forward(x, gamma, beta, state, mode)
+        y, cache = ops.batchnorm_relu_forward(x, gamma, beta, state)
         g = channel_major(np.random.default_rng(10).standard_normal(y.shape).astype(dtype))
         results = []
         for reference in (False, True):
@@ -754,6 +755,23 @@ class TestBatchNormRelu:
         gamma, beta = Parameter(np.ones(1), "bn-gamma"), Parameter(np.zeros(1), "bn-beta")
         with pytest.raises(ValueError, match="requires the forward cache"):
             ops.batchnorm_relu_backward(Tensor(np.ones((1, 1, 2, 2))), None, gamma, beta)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_infer_keeps_the_exact_channels(self, dtype):
+        """After one training batch the all-zero channels have running mean
+        0, so, as in training, channel 0 gives exactly 0 and channel 1
+        exactly 0.5; every output is the oracle's bit for bit."""
+        x, gamma, beta, state = self.inputs(dtype)
+        ops.batchnorm_forward(Tensor(x.data * 2.0), gamma, beta, state)
+        expected = bn_relu_infer_reference(x.data, gamma.value, beta.value,
+                                           *ops.running_statistics(state))
+        h = np.ascontiguousarray(x.data.transpose(1, 0, 2, 3))
+        ops.batchnorm_relu_infer(h, gamma, beta, state)
+        y = h.transpose(1, 0, 2, 3)
+        assert np.all(y[:, 0] == 0) and np.all(y[:, 1] == 0.5)
+        assert (y[:, 2:] > 0).any() and (y[:, 2:] == 0).any()
+        assert y.dtype == expected.dtype == dtype
+        assert np.array_equal(y, expected)
 
 
 def channel_major(x: np.ndarray) -> Tensor:
@@ -802,7 +820,6 @@ class TestLayouts:
 
     @settings(max_examples=30, deadline=None)
     @given(
-        mode=st.sampled_from(["train", "infer"]),
         n=st.integers(1, 3),
         c=st.integers(1, 4),
         h=st.integers(1, 6),
@@ -810,7 +827,7 @@ class TestLayouts:
         grad_layout=st.sampled_from(["nchw", "channel-major"]),
         seed=st.integers(0, 2**16),
     )
-    def test_batchnorm(self, mode, n, c, h, w, grad_layout, seed):
+    def test_batchnorm(self, n, c, h, w, grad_layout, seed):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((n, c, h, w)) * 2.0 + 1.0
         g = rng.standard_normal((n, c, h, w))
@@ -820,8 +837,7 @@ class TestLayouts:
             gamma = Parameter(gamma0.copy(), "bn-gamma")
             beta = Parameter(beta0.copy(), "bn-beta")
             state = ops.BatchNormState.create(c, dtype=np.float64)
-            ops.batchnorm_forward(Tensor(x * 0.5 - 1.0), gamma, beta, state, "train")
-            y, cache = ops.batchnorm_forward(layout(x), gamma, beta, state, mode)
+            y, cache = ops.batchnorm_forward(layout(x), gamma, beta, state)
             gt = Tensor(g) if grad_layout == "nchw" else channel_major(g)
             gx = ops.batchnorm_backward(gt, cache, gamma, beta)
             results.append((y.data, gx.data, gamma.grad, beta.grad,

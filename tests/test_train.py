@@ -211,9 +211,8 @@ class TestEvaluate:
         counts = ConfusionCounts.zeros(2)
         preds, gts = [], []
         for p in patches:
-            logits = net.forward(
-                Tensor(p.image[None, None].astype(np.float32)), mode="infer")
-            preds.append((sigmoid(logits.data[0, 0]) > 0.5).astype(np.int64))
+            logits = net.infer(Tensor(p.image[None, None].astype(np.float32)))
+            preds.append((sigmoid(logits[0, 0]) > 0.5).astype(np.int64))
             gts.append(p.mask)
         accumulate_confusion(np.concatenate(preds), np.concatenate(gts), counts)
         assert m == pytest.approx(miou(counts), abs=1e-15)
