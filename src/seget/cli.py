@@ -11,7 +11,9 @@ numeric, 4 I/O.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -41,7 +43,7 @@ EXIT_DATA = 2
 EXIT_RUNTIME = 3
 EXIT_IO = 4
 
-PREDICT_BATCH = 8   # windows per inference forward
+PREDICT_BATCH = 8   # windows in flight per step of predict, over all its threads
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -165,27 +167,56 @@ def _require_window_fits(window: int, config: NetworkConfig) -> None:
         )
 
 
+def _infer_workers() -> int:
+    """Threads that share each batch of PREDICT_BATCH windows in predict.
+
+    One per core this process may run on when BLAS is pinned to one thread,
+    else one: a threaded BLAS already spreads each GEMM over the cores, and
+    window threads on top of it oversubscribe them.
+    """
+    if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+        return 1
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cores or 1, PREDICT_BATCH)
+
+
 def _predict_volume(net, images: np.ndarray, window: int, stride: int) -> np.ndarray:
     """Per-slice patch inference with mean-overlap stitching; edge-aligned
     last windows cover the strips a stride that does not divide
-    extent - window would leave out."""
+    extent - window would leave out.
+
+    Each batch of PREDICT_BATCH windows is split into _infer_workers()
+    contiguous parts: the calling thread runs the first, pool threads the
+    rest, and the parts' outputs are stitched in window order. infer keeps
+    no cache and computes each window on its own, so the bytes do not
+    depend on the worker count.
+    """
     nz, h, w = images.shape
     probs = np.zeros((nz, h, w), dtype=np.float64)
     dt = net.config.np_dtype
-    for s in range(nz):
-        try:
-            origins = dp.window_origins(h, w, window, stride, edge_aligned=True)
-        except DataFormatError as exc:
-            raise DataFormatError(f"slice {s}: {exc}") from exc
-        entries = []
-        for start in range(0, len(origins), PREDICT_BATCH):
-            chunk = origins[start : start + PREDICT_BATCH]
-            batch = np.stack(
-                [images[s, y : y + window, x : x + window] for y, x in chunk]
-            )[:, None].astype(dt)
-            p = sigmoid(net.infer(Tensor(batch)))[:, 0]
-            entries.extend((p[i], y, x) for i, (y, x) in enumerate(chunk))
-        probs[s] = dp.stitch_probabilities(entries, (h, w))
+    workers = _infer_workers()
+
+    def infer_part(s: int, part: list[tuple[int, int]]) -> np.ndarray:
+        batch = np.stack([images[s, y : y + window, x : x + window] for y, x in part])
+        return sigmoid(net.infer(Tensor(batch[:, None].astype(dt))))[:, 0]
+
+    # the pool starts its threads on first submit, so one worker starts none
+    with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
+        for s in range(nz):
+            try:
+                origins = dp.window_origins(h, w, window, stride, edge_aligned=True)
+            except DataFormatError as exc:
+                raise DataFormatError(f"slice {s}: {exc}") from exc
+            entries = []
+            for start in range(0, len(origins), PREDICT_BATCH):
+                chunk = origins[start : start + PREDICT_BATCH]
+                bounds = [i * len(chunk) // workers for i in range(workers + 1)]
+                parts = [chunk[a:b] for a, b in zip(bounds, bounds[1:]) if a < b]
+                helpers = [pool.submit(infer_part, s, part) for part in parts[1:]]
+                outs = [infer_part(s, parts[0])] + [f.result() for f in helpers]
+                for part, p in zip(parts, outs):
+                    entries.extend((p[i], y, x) for i, (y, x) in enumerate(part))
+            probs[s] = dp.stitch_probabilities(entries, (h, w))
     return probs
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -43,6 +44,7 @@ import numpy as np
 from .tensor import ConvSpec, Parameter, Tensor
 
 logger = logging.getLogger(__name__)
+_FRESH_WARN_LOCK = threading.Lock()  # predict may run one network's infer on several threads
 
 
 # ---------------------------------------------------------------------------
@@ -518,12 +520,13 @@ def running_statistics(state: BatchNormState) -> tuple[np.ndarray, np.ndarray]:
     mean, var = state.running_mean, state.running_var
     t = state.num_updates
     if t == 0:
-        if not state._warned_fresh_infer:
-            state._warned_fresh_infer = True
-            logger.warning(
-                "batchnorm inference with default-initialized running stats "
-                "(mean 0 / var 1); behaves as near-identity"
-            )
+        with _FRESH_WARN_LOCK:  # check and set as one step: warn once per layer
+            if not state._warned_fresh_infer:
+                state._warned_fresh_infer = True
+                logger.warning(
+                    "batchnorm inference with default-initialized running stats "
+                    "(mean 0 / var 1); behaves as near-identity"
+                )
     else:
         decay = BN_MOMENTUM ** t
         mean = (mean.astype(np.float64) / (1.0 - decay)).astype(mean.dtype)

@@ -6,6 +6,7 @@ import json
 import struct
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,7 @@ from seget.checkpoint import load_checkpoint, save_checkpoint
 from seget.config import PRESETS, RunConfig, dump_config, load_preset, parse_config, set_value
 from seget.data import CLASS_ORDER, read_pgm, read_ppm, write_mask_pgm
 from seget.errors import ConfigError
-from seget.model import SegETNetwork
+from seget.model import SegETNetwork, build
 from seget.ops import sigmoid
 from seget.tensor import Tensor
 from seget.train import REDUCE_FACTOR
@@ -465,6 +466,94 @@ class TestCliPredict:
         # only the edge window reaches rows and columns 28..31
         np.testing.assert_allclose(probs[0, 28:, 28:], corner[12:, 12:], rtol=1e-6, atol=1e-7)
 
+    # windows per thread for a batch of 8; a batch of 1 is never split
+    SPLITS = {1: {}, 2: {8: [4, 4]}, 3: {8: [2, 3, 3]}}
+
+    # per 32 px slice: 16/4 has 25 windows (batches of 8, 8, 8 and 1), 16/12
+    # and 8/6 end on edge-aligned windows (9 and 25), 32/32 has one
+    @pytest.mark.parametrize("window,stride,batches", [
+        (16, 4, [8, 8, 8, 1]), (16, 12, [8, 1]), (8, 6, [8, 8, 8, 1]), (32, 32, [1]),
+    ])
+    def test_bytes_do_not_depend_on_the_worker_count(self, synth_dir, trained_dir, tmp_path,
+                                                      monkeypatch, window, stride, batches):
+        """1, 2 and 3 threads per batch of windows write the same PGM and
+        probs.npy bytes; 3 split a batch of 8 unevenly, into 2, 3 and 3."""
+        infer = SegETNetwork.infer
+        calls = []
+
+        def recording_infer(net, batch):
+            calls.append((threading.get_ident(), batch.data.shape[0]))
+            return infer(net, batch)
+
+        monkeypatch.setattr(SegETNetwork, "infer", recording_infer)
+        outs = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(cli, "_infer_workers", lambda: workers)
+            calls.clear()
+            out = tmp_path / f"workers{workers}"
+            assert cli.main([
+                "predict", "--checkpoint", str(trained_dir / "best.ckpt"),
+                "--volume", str(synth_dir / "volume.mrc"), "--out-dir", str(out),
+                "--window", str(window), "--stride", str(stride), "--save-probs",
+            ]) == 0
+            outs[workers] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            parts = [n for b in batches for n in self.SPLITS[workers].get(b, [b])]
+            assert sorted(n for _, n in calls) == sorted(parts * 5)
+            helpers = {t for t, _ in calls} - {threading.get_ident()}
+            assert bool(helpers) == (workers > 1 and max(batches) > 1)
+        assert len(outs[1]) == 6
+        assert outs[2] == outs[1]
+        assert outs[3] == outs[1]
+
+    def test_fresh_statistics_warn_once_per_layer_under_threads(self, trained_dir, synth_dir,
+                                                                tmp_path, monkeypatch, caplog):
+        net, _ = load_checkpoint(trained_dir / "best.ckpt")
+        fresh = build(net.config)  # running statistics never updated
+        save_checkpoint(tmp_path / "fresh.ckpt", fresh, 0, 0.0)
+        monkeypatch.setattr(cli, "_infer_workers", lambda: 2)
+        with caplog.at_level("WARNING"):
+            assert cli.main([
+                "predict", "--checkpoint", str(tmp_path / "fresh.ckpt"),
+                "--volume", str(synth_dir / "volume.mrc"), "--out-dir", str(tmp_path / "out"),
+                "--window", "16", "--stride", "8",
+            ]) == 0
+        warned = [r for r in caplog.records if "default-initialized" in r.message]
+        assert len(warned) == len(fresh.bn_states)
+
+    @pytest.mark.parametrize("failing,error,rc", [
+        ("helper", ValueError, cli.EXIT_RUNTIME),
+        ("caller", ValueError, cli.EXIT_RUNTIME),
+        ("helper", RuntimeError, None),
+    ])
+    def test_a_failing_part_fails_the_command_and_stops_its_threads(
+            self, synth_dir, trained_dir, tmp_path, monkeypatch, capsys, failing, error, rc):
+        """The error of either thread's part ends predict as it would on one
+        thread (exit 3 for a ValueError, other exceptions propagate), with
+        no file written and no thread left running."""
+        infer = SegETNetwork.infer
+        caller = threading.get_ident()
+
+        def failing_infer(net, batch):
+            if (threading.get_ident() == caller) == (failing == "caller"):
+                raise error("injected infer failure")
+            return infer(net, batch)
+
+        monkeypatch.setattr(SegETNetwork, "infer", failing_infer)
+        monkeypatch.setattr(cli, "_infer_workers", lambda: 2)
+        before = threading.active_count()
+        out = tmp_path / "pred"
+        argv = ["predict", "--checkpoint", str(trained_dir / "best.ckpt"),
+                "--volume", str(synth_dir / "volume.mrc"), "--out-dir", str(out),
+                "--window", "16", "--stride", "8", "--save-probs"]
+        if rc is None:
+            with pytest.raises(error, match="injected infer failure"):
+                cli.main(argv)
+        else:
+            assert cli.main(argv) == rc
+            assert "injected infer failure" in capsys.readouterr().err
+        assert not out.exists()
+        assert threading.active_count() == before
+
     def test_stride_beyond_window_exits_1(self, synth_dir, trained_dir, tmp_path):
         rc = cli.main([
             "predict", "--checkpoint", str(trained_dir / "best.ckpt"),
@@ -635,6 +724,20 @@ class TestCliPredict:
         assert rc == 2
         assert "not divisible" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("blas_threads,cores,workers", [
+    ("1", 1, 1), ("1", 2, 2), ("1", 16, cli.PREDICT_BATCH), (None, 2, 1), ("2", 2, 1),
+])
+def test_infer_workers_follow_the_blas_thread_count(monkeypatch, blas_threads, cores, workers):
+    """One window thread per usable core when BLAS is pinned to one thread,
+    at most one per window of a batch; one when BLAS may thread itself."""
+    if blas_threads is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    assert cli._infer_workers() == workers
 
 
 class TestCliEvaluate:
