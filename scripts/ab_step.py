@@ -9,7 +9,10 @@ operations, --pairs pairs of operations run, alternating which tree goes
 first, so host drift and order effects fall on both sides alike. An
 operation is one training step (forward, combined loss, backward, Adam
 step, as in seget.train.fit) or, with --mode infer, one SegETNetwork.infer
-batch. One BLAS thread, as the benchmark runs.
+batch. One BLAS thread, as the benchmark runs. A tree with a worker pool
+(seget/pool.py) runs its operations inside one pool scope, as fit does,
+so its large convs split their blocks over the workers; the worker count
+of each tree is printed.
 
 Prints each side's min and median ms, the pairs that B won, the median of
 the per-pair ratio B/A, and whether the two trees gave the same bits: the
@@ -25,6 +28,7 @@ import os
 os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads OpenBLAS
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import importlib  # noqa: E402
 import importlib.util  # noqa: E402
 import statistics  # noqa: E402
@@ -47,8 +51,10 @@ def load_tree(src: Path, name: str) -> dict:
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    return {sub: importlib.import_module(f"{name}.{sub}")
-            for sub in ("losses", "model", "tensor", "train")}
+    subs = ["losses", "model", "tensor", "train"]
+    if (init.parent / "pool.py").is_file():  # trees from before the worker pool have none
+        subs.append("pool")
+    return {sub: importlib.import_module(f"{name}.{sub}") for sub in subs}
 
 
 class Side:
@@ -108,17 +114,26 @@ def main() -> int:
         for side in sides:  # BN running statistics from one training batch
             side.net.forward(side.batch)
 
-    for _ in range(args.warmup):
+    with contextlib.ExitStack() as scopes:
         for side in sides:
-            getattr(side, op)()
-    times = [[], []]
-    for p in range(args.pairs):
-        for k in ((0, 1) if p % 2 == 0 else (1, 0)):
-            t0 = time.perf_counter()
-            getattr(sides[k], op)()
-            times[k].append((time.perf_counter() - t0) * 1e3)
+            if "pool" in side.mods:
+                scopes.enter_context(side.mods["pool"].scope())
+        for _ in range(args.warmup):
+            for side in sides:
+                getattr(side, op)()
+        times = [[], []]
+        for p in range(args.pairs):
+            for k in ((0, 1) if p % 2 == 0 else (1, 0)):
+                t0 = time.perf_counter()
+                getattr(sides[k], op)()
+                times[k].append((time.perf_counter() - t0) * 1e3)
+        for side in sides:
+            side.infer()
 
     print(f"a: {args.a}  b: {args.b}")
+    print("workers: " + ", ".join(
+        f"{tag} {side.mods['pool'].worker_count() if 'pool' in side.mods else '1 (no pool)'}"
+        for tag, side in zip("ab", sides)))
     print(f"{args.mode}, base {args.base}, {args.size}^2, batch {args.batch}, {args.dtype}, "
           f"{args.warmup} warm-up, {args.pairs} pairs")
     if args.pairs:
@@ -134,8 +149,6 @@ def main() -> int:
         checks["loss"] = a.losses == b.losses
         checks["parameters"] = all(same_bits(p.value, b.net.parameters[name].value)
                                    for name, p in a.net.parameters.items())
-    for side in sides:
-        side.infer()
     checks["logits"] = same_bits(a.logits, b.logits)
     print("bit-equal: " + ", ".join(f"{k} {'yes' if v else 'NO'}" for k, v in checks.items()))
     return 0 if all(checks.values()) else 1

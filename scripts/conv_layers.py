@@ -8,7 +8,9 @@ build(NetworkConfig(base, depth=4)).describe((size, size)). Each conv
 runs the training forward (conv2d_forward, bias-free, as in the
 network's conv + BN units) and its backward (conv2d_backward) on random
 channel-major inputs, as the units pass them; each time printed is the
-best of --repeat calls. FLOPs count the dense conv as perfbench does:
+best of --repeat calls, inside one pool scope when the tree has a worker
+pool (seget/pool.py), as in fit, so that large convs split their blocks
+over the workers; the worker count is printed. FLOPs count the dense conv as perfbench does:
 2·N·OC·OH·OW·C·k² for the forward and twice that for the backward.
 
 Compare two trees by running the same script against each source:
@@ -21,11 +23,17 @@ import os
 os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads OpenBLAS
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import time  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 from seget import ops  # noqa: E402
+
+try:
+    from seget import pool  # noqa: E402
+except ImportError:  # a tree from before the worker pool
+    pool = None
 from seget.model import NetworkConfig, build  # noqa: E402
 from seget.tensor import ConvSpec, Parameter, Tensor  # noqa: E402
 
@@ -53,13 +61,19 @@ def main() -> None:
     ap.add_argument("--repeat", type=int, default=5, help="calls per timing (best is kept)")
     args = ap.parse_args()
 
-    net = build(NetworkConfig(base_filters=args.base, depth=4))
+    print(f"workers: {pool.worker_count() if pool else '1 (no pool)'}")
+    with pool.scope() if pool else contextlib.nullcontext():
+        time_convs(args.base, args.size, args.repeat)
+
+
+def time_convs(base: int, size: int, repeat: int) -> None:
+    net = build(NetworkConfig(base_filters=base, depth=4))
     kernels = net.parameters
     rng = np.random.default_rng(0)
     print(f"{'layer':<14}{'in (C,H,W)':<16}{'OC':>5}{'k':>3}{'s':>3}{'d':>3}"
           f"{'fwd ms':>10}{'GFLOP/s':>9}{'bwd ms':>10}{'GFLOP/s':>9}")
     totals = [0.0, 0.0, 0.0]  # forward ms, backward ms, forward FLOPs
-    for row in net.describe((args.size, args.size)).rows:
+    for row in net.describe((size, size)).rows:
         if row.kind != "conv":
             continue
         _, c, h, w = row.in_shape
@@ -71,8 +85,8 @@ def main() -> None:
         x = channel_major(rng, BATCH, c, h, w)
         g = channel_major(rng, BATCH, oc, oh, ow)
         _, cache = ops.conv2d_forward(x, spec, kernel, None)
-        fwd = best_ms(lambda: ops.conv2d_forward(x, spec, kernel, None), args.repeat)
-        bwd = best_ms(lambda: ops.conv2d_backward(g, cache, spec, kernel, None), args.repeat)
+        fwd = best_ms(lambda: ops.conv2d_forward(x, spec, kernel, None), repeat)
+        bwd = best_ms(lambda: ops.conv2d_backward(g, cache, spec, kernel, None), repeat)
         flops = 2 * BATCH * oc * oh * ow * c * k * k
         totals[0] += fwd
         totals[1] += bwd

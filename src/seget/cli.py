@@ -11,15 +11,14 @@ numeric, 4 I/O.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import data as dp
+from . import pool
 from .checkpoint import load_checkpoint
 from .config import (
     RunConfig,
@@ -167,41 +166,28 @@ def _require_window_fits(window: int, config: NetworkConfig) -> None:
         )
 
 
-def _infer_workers() -> int:
-    """Threads that share each batch of PREDICT_BATCH windows in predict.
-
-    One per core this process may run on when BLAS is pinned to one thread,
-    else one: a threaded BLAS already spreads each GEMM over the cores, and
-    window threads on top of it oversubscribe them.
-    """
-    if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
-        return 1
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(cores or 1, PREDICT_BATCH)
-
-
 def _predict_volume(net, images: np.ndarray, window: int, stride: int) -> np.ndarray:
     """Per-slice patch inference with mean-overlap stitching; edge-aligned
     last windows cover the strips a stride that does not divide
     extent - window would leave out.
 
-    Each batch of PREDICT_BATCH windows is split into _infer_workers()
-    contiguous parts: the calling thread runs the first, pool threads the
-    rest, and the parts' outputs are stitched in window order. infer keeps
-    no cache and computes each window on its own, so the bytes do not
-    depend on the worker count.
+    Runs in a pool scope (seget.pool): each batch of PREDICT_BATCH windows
+    is split into one contiguous part per worker, the calling thread runs
+    the first and the pool the rest, and the parts' outputs are stitched in
+    window order. The convs inside a part find the pool busy and run on
+    their own thread; a batch of one window is not split, so its large
+    convs split their blocks instead. infer keeps no cache and computes
+    each window on its own, so the bytes do not depend on the worker count.
     """
     nz, h, w = images.shape
     probs = np.zeros((nz, h, w), dtype=np.float64)
     dt = net.config.np_dtype
-    workers = _infer_workers()
 
     def infer_part(s: int, part: list[tuple[int, int]]) -> np.ndarray:
         batch = np.stack([images[s, y : y + window, x : x + window] for y, x in part])
         return sigmoid(net.infer(Tensor(batch[:, None].astype(dt))))[:, 0]
 
-    # the pool starts its threads on first submit, so one worker starts none
-    with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
+    with pool.scope():
         for s in range(nz):
             try:
                 origins = dp.window_origins(h, w, window, stride, edge_aligned=True)
@@ -210,11 +196,10 @@ def _predict_volume(net, images: np.ndarray, window: int, stride: int) -> np.nda
             entries = []
             for start in range(0, len(origins), PREDICT_BATCH):
                 chunk = origins[start : start + PREDICT_BATCH]
-                bounds = [i * len(chunk) // workers for i in range(workers + 1)]
-                parts = [chunk[a:b] for a, b in zip(bounds, bounds[1:]) if a < b]
-                helpers = [pool.submit(infer_part, s, part) for part in parts[1:]]
-                outs = [infer_part(s, parts[0])] + [f.result() for f in helpers]
-                for part, p in zip(parts, outs):
+                # each part's task returns its windows with their probabilities
+                parts = pool.run_parts(
+                    chunk, lambda part, _first: lambda: (part, infer_part(s, part)))
+                for part, p in parts:
                     entries.extend((p[i], y, x) for i, (y, x) in enumerate(part))
             probs[s] = dp.stitch_probabilities(entries, (h, w))
     return probs

@@ -41,6 +41,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import pool
 from .tensor import ConvSpec, Parameter, Tensor
 
 logger = logging.getLogger(__name__)
@@ -134,10 +135,29 @@ _FRESH_WARN_LOCK = threading.Lock()  # predict may run one network's infer on se
 # the length rounded to a multiple of 64, the forward-only predict-512
 # benchmark read 5% slower in 9 of 10 pairs (2-core Xeon, OpenBLAS
 # 0.3.31).
+#
+# Inside a pool scope (seget.pool: train.fit and predict enter one) a
+# large conv runs its blocks on every worker, in contiguous parts of the
+# block list, each part with its own scratch (operand buffer, temporary,
+# stack, zero-extended last block) made on the calling thread, so the
+# helper threads allocate little. The forward's blocks write disjoint grid
+# columns and the backward's (phase, block) items disjoint layout-gradient
+# columns, so those bits do not depend on the split. The kernel gradient
+# of a phase is the chain ((0 + P_0) + P_1) + ... of its blocks' partials
+# P = S @ phase[:, block].T: the first part adds its partials as it goes,
+# and every later part keeps them, for the calling thread to add in
+# phase-then-block order after the parts end. So every output has the
+# bits of one thread, at any worker count. Only a conv of at least
+# _SPLIT_MACS multiply-adds (grid columns * OC * C * live taps) splits:
+# below it the hand-off costs more than the second core saves. At base 4
+# on 64^2 no conv reaches it (the largest, fuse1.c, is 23.9M at batch 12),
+# at base 16 on 128^2 most do. Splitting every conv slowed a base-4, 64^2
+# training step by 4% (2-core Xeon, one BLAS thread, 30 pairs).
 _BLOCK_COLS = 4096
 _COL_QUANTUM = 64
 _MIN_GEMM_DEPTH = 16
 _STACK_ELEMS = 1 << 20
+_SPLIT_MACS = 1 << 26
 
 
 def _quantize(cols: int) -> int:
@@ -251,11 +271,9 @@ def _phase_views(layout: np.ndarray, n: int, geo: _Geometry):
             yield (slice(r0, None, s), slice(c0, None, s)), grid[:, :, y0 : y0 + ny, x0 : x0 + nx]
 
 
-def _tap_groups(geo: _Geometry, kernel: np.ndarray, width: int, dtype: np.dtype
-                ) -> tuple[list[tuple[tuple[_Tap, ...], np.ndarray]], np.ndarray | None]:
+def _tap_groups(geo: _Geometry, kernel: np.ndarray) -> list[tuple[tuple[_Tap, ...], np.ndarray]]:
     """Live taps in GEMMs of depth >= _MIN_GEMM_DEPTH where the channels
-    allow, each with its kernel matrix (OC, taps*C), plus the operand
-    buffer that groups of more than one tap copy their slices into."""
+    allow, each with its kernel matrix (OC, taps*C)."""
     oc, c = kernel.shape[:2]
     size = -(-_MIN_GEMM_DEPTH // c)
     groups = []
@@ -263,9 +281,7 @@ def _tap_groups(geo: _Geometry, kernel: np.ndarray, width: int, dtype: np.dtype
         i, j = geo.ij[:, t0 : t0 + size]
         kmat = kernel[:, :, i, j].transpose(0, 2, 1).reshape(oc, -1)
         groups.append((geo.taps[t0 : t0 + size], kmat))
-    depth = len(groups[0][0]) * c
-    buf = np.empty((depth, width), dtype=dtype) if depth > c else None
-    return groups, buf
+    return groups
 
 
 def _operand(layout: np.ndarray, taps: tuple[_Tap, ...], m0: int, m1: int,
@@ -331,24 +347,40 @@ def _tap_layout(sources: list[np.ndarray], spec: ConvSpec,
     return layout, geo
 
 
+def _split(geo: _Geometry, kernel: np.ndarray) -> bool:
+    """Whether a conv is large enough to run its blocks on the pool."""
+    oc, c = kernel.shape[:2]
+    return geo.grid_cols * oc * c * len(geo.taps) >= _SPLIT_MACS
+
+
 def _tap_gemm(layout: np.ndarray, n: int, geo: _Geometry, kernel: np.ndarray) -> np.ndarray:
     """The tap loop: the output grid (OC, columns), cropped by _crop."""
     hr, wr, m = geo.rows.pitch, geo.cols.pitch, geo.grid_cols
-    oc = kernel.shape[0]
-    out = np.empty((oc, max(m, n * hr * wr)), dtype=layout.dtype)
+    oc, c = kernel.shape[:2]
+    dtype = layout.dtype
+    out = np.empty((oc, max(m, n * hr * wr)), dtype=dtype)
     out[:, m:] = 0
     width = min(_BLOCK_COLS, m)
-    groups, buf = _tap_groups(geo, kernel, width, layout.dtype)
-    (first, kfirst), *rest = groups
-    tmp = np.empty((oc, width), dtype=layout.dtype) if rest else None
-    for m0 in range(0, m, _BLOCK_COLS):
-        m1 = min(m, m0 + _BLOCK_COLS)
-        acc = out[:, m0:m1]
-        _matmul(kfirst, _operand(layout, first, m0, m1, buf), acc)
-        for group, kmat in rest:
-            t = tmp[:, : m1 - m0]
-            _matmul(kmat, _operand(layout, group, m0, m1, buf), t)
-            acc += t
+    (first, kfirst), *rest = _tap_groups(geo, kernel)
+    depth = len(first) * c
+
+    def part(blocks: range, _first_part: bool) -> Callable[[], None]:
+        # groups of more than one tap copy their slices into buf
+        buf = np.empty((depth, width), dtype=dtype) if depth > c else None
+        tmp = np.empty((oc, width), dtype=dtype) if rest else None
+
+        def run() -> None:
+            for m0 in blocks:
+                m1 = min(m, m0 + _BLOCK_COLS)
+                acc = out[:, m0:m1]
+                _matmul(kfirst, _operand(layout, first, m0, m1, buf), acc)
+                for group, kmat in rest:
+                    t = tmp[:, : m1 - m0]
+                    _matmul(kmat, _operand(layout, group, m0, m1, buf), t)
+                    acc += t
+        return run
+
+    pool.run_parts(range(0, m, _BLOCK_COLS), part, split=_split(geo, kernel))
     return out
 
 
@@ -436,32 +468,53 @@ def conv2d_backward(
     stack_rows = oc * max(len(ph.taps) for ph in geo.phases)
     width = min(_BLOCK_COLS, length,
                 max(_COL_QUANTUM, _STACK_ELEMS // stack_rows // _COL_QUANTUM * _COL_QUANTUM))
-    stack = np.empty((stack_rows, _quantize(width)), dtype=dtype)
-    # the last block of every phase, zero-extended to the reduction length
+    # columns of the last block of every phase
     last = length - (length - 1) // width * width
-    xlast = np.empty((c, _quantize(last)), dtype=dtype)
-    xlast[:, last:] = 0
     glayout = np.empty_like(layout)
+    live = [ph for ph in geo.phases if ph.taps]
+    for ph in geo.phases:
+        if not ph.taps:
+            glayout[ph.a, ph.b] = 0  # no tap reads the phase
+    kstacks = [kernel.value[:, :, ki, kj].transpose(2, 0, 1).reshape(-1, c)
+               for *_, (ki, kj) in live]
+    gks = [np.zeros_like(k, dtype=dtype) for k in kstacks]
+
+    def part(items: list[tuple[int, int]], first: bool) -> Callable[[], list]:
+        stack = np.empty((stack_rows, _quantize(width)), dtype=dtype)
+        # the last block, zero-extended to the reduction length
+        xlast = np.empty((c, _quantize(last)), dtype=dtype)
+        xlast[:, last:] = 0
+        # a later part keeps each block's kernel-gradient partial
+        partials = None if first else np.empty((len(items), stack_rows, c), dtype=dtype)
+
+        def run() -> list[tuple[int, np.ndarray]]:
+            kept = []
+            for i, (p, m0) in enumerate(items):
+                a, b, taps, _ = live[p]
+                m1 = min(length, m0 + width)
+                cols = _quantize(m1 - m0)
+                shifted = stack[: len(taps) * oc, :cols]
+                for r, t in enumerate(taps):
+                    g0 = margin - t.off + m0
+                    shifted[r * oc : (r + 1) * oc] = gz[:, g0 : g0 + cols]
+                x = layout[a, b, :, m0:m1]
+                if cols > m1 - m0:
+                    xlast[:, : m1 - m0] = x
+                    x = xlast
+                if first:
+                    gks[p] += shifted @ x.T
+                else:
+                    kept.append((p, np.matmul(shifted, x.T, out=partials[i, : len(taps) * oc])))
+                _matmul(kstacks[p].T, shifted[:, : m1 - m0], glayout[a, b, :, m0:m1])
+            return kept
+        return run
+
+    items = [(p, m0) for p in range(len(live)) for m0 in range(0, length, width)]
+    for kept in pool.run_parts(items, part, split=_split(geo, kernel.value)):
+        for p, partial in kept:  # in phase-then-block order
+            gks[p] += partial
     gkernel = np.zeros_like(kernel.value)
-    for a, b, taps, (ki, kj) in geo.phases:
-        if not taps:
-            glayout[a, b] = 0  # no tap reads the phase
-            continue
-        kstack = kernel.value[:, :, ki, kj].transpose(2, 0, 1).reshape(-1, c)
-        gk = np.zeros_like(kstack, dtype=dtype)
-        for m0 in range(0, length, width):
-            m1 = min(length, m0 + width)
-            cols = _quantize(m1 - m0)
-            shifted = stack[: len(taps) * oc, :cols]
-            for r, t in enumerate(taps):
-                g0 = margin - t.off + m0
-                shifted[r * oc : (r + 1) * oc] = gz[:, g0 : g0 + cols]
-            x = layout[a, b, :, m0:m1]
-            if cols > m1 - m0:
-                xlast[:, : m1 - m0] = x
-                x = xlast
-            gk += shifted @ x.T
-            _matmul(kstack.T, shifted[:, : m1 - m0], glayout[a, b, :, m0:m1])
+    for (*_, (ki, kj)), gk in zip(live, gks):
         gkernel[:, :, ki, kj] = gk.reshape(-1, oc, c).transpose(1, 2, 0)
     kernel.add_grad(gkernel)
     if s == 1:

@@ -18,6 +18,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import pool
 from .checkpoint import save_checkpoint
 from .errors import NumericError
 from .losses import (
@@ -188,6 +189,10 @@ def fit(
     eval_fn computes the monitored value (default: validation mIOU at
     cfg.threshold); it is injectable so callback timing can be tested
     against scripted metric sequences.
+
+    The call holds a pool scope, so the large convs of training and
+    validation run their column blocks on every worker (seget.pool), with
+    the bits of one thread.
     """
     if not train_patches or not val_patches:
         raise ValueError("fit requires non-empty train and validation sets")
@@ -204,53 +209,54 @@ def fit(
     lr_wait = 0
     stop_reason = "epoch_cap"
 
-    net.zero_grads()  # once: Adam.step zeroes the gradients after each step
-    for epoch in range(1, cfg.epochs + 1):
-        t0 = time.monotonic()
-        order = rng.permutation(len(train_patches))
-        losses = []
-        for start in range(0, len(order), cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]  # last partial batch kept
-            batch, masks, weights = _as_batch(train_patches, idx, dt, cfg.use_weights)
-            logits = net.forward(batch)
-            loss, grad = combined_loss(logits, masks, net.parameters, loss_cfg, weights)
-            if not np.isfinite(loss):
-                raise NumericError(f"non-finite training loss at epoch {epoch}")
-            net.backward(Tensor(grad.data.astype(dt)))
-            opt.step()
-            losses.append(loss)
+    with pool.scope():
+        net.zero_grads()  # once: Adam.step zeroes the gradients after each step
+        for epoch in range(1, cfg.epochs + 1):
+            t0 = time.monotonic()
+            order = rng.permutation(len(train_patches))
+            losses = []
+            for start in range(0, len(order), cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]  # last partial batch kept
+                batch, masks, weights = _as_batch(train_patches, idx, dt, cfg.use_weights)
+                logits = net.forward(batch)
+                loss, grad = combined_loss(logits, masks, net.parameters, loss_cfg, weights)
+                if not np.isfinite(loss):
+                    raise NumericError(f"non-finite training loss at epoch {epoch}")
+                net.backward(Tensor(grad.data.astype(dt)))
+                opt.step()
+                losses.append(loss)
 
-        val_value = float(eval_fn(net, val_patches))
-        record = EpochRecord(
-            epoch=epoch,
-            train_loss=float(np.mean(losses)),
-            val_miou=val_value,
-            lr=opt.effective_lr,
-            wall_time_s=time.monotonic() - t0,
-        )
-        report.records.append(record)
-        if log is not None:
-            log(record.log_line())
+            val_value = float(eval_fn(net, val_patches))
+            record = EpochRecord(
+                epoch=epoch,
+                train_loss=float(np.mean(losses)),
+                val_miou=val_value,
+                lr=opt.effective_lr,
+                wall_time_s=time.monotonic() - t0,
+            )
+            report.records.append(record)
+            if log is not None:
+                log(record.log_line())
 
-        # callback order: checkpoint, then LR-reduce, then early-stop
-        if val_value > best:
-            best = val_value
-            report.best_epoch = epoch
-            report.best_val_miou = val_value
-            save_checkpoint(cfg.checkpoint_path, net, epoch, val_value)
-            lr_wait = 0
-            es_wait = 0
-        else:
-            lr_wait += 1
-            if lr_wait >= cfg.reduce_patience:
-                opt.lr_scale *= REDUCE_FACTOR
+            # callback order: checkpoint, then LR-reduce, then early-stop
+            if val_value > best:
+                best = val_value
+                report.best_epoch = epoch
+                report.best_val_miou = val_value
+                save_checkpoint(cfg.checkpoint_path, net, epoch, val_value)
                 lr_wait = 0
-                logger.info("plateau: lr scale reduced to %.3g at epoch %d",
-                            opt.lr_scale, epoch)
-            es_wait += 1
-            if es_wait >= cfg.early_stop_patience:
-                stop_reason = "early_stop"
-                break
+                es_wait = 0
+            else:
+                lr_wait += 1
+                if lr_wait >= cfg.reduce_patience:
+                    opt.lr_scale *= REDUCE_FACTOR
+                    lr_wait = 0
+                    logger.info("plateau: lr scale reduced to %.3g at epoch %d",
+                                opt.lr_scale, epoch)
+                es_wait += 1
+                if es_wait >= cfg.early_stop_patience:
+                    stop_reason = "early_stop"
+                    break
 
     report.stop_reason = stop_reason
     return report

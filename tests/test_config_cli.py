@@ -7,12 +7,13 @@ import struct
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from seget import cli
+from seget import cli, ops, pool
 from seget.checkpoint import load_checkpoint, save_checkpoint
 from seget.config import PRESETS, RunConfig, dump_config, load_preset, parse_config, set_value
 from seget.data import CLASS_ORDER, read_pgm, read_ppm, write_mask_pgm
@@ -488,7 +489,7 @@ class TestCliPredict:
         monkeypatch.setattr(SegETNetwork, "infer", recording_infer)
         outs = {}
         for workers in (1, 2, 3):
-            monkeypatch.setattr(cli, "_infer_workers", lambda: workers)
+            monkeypatch.setattr(pool, "worker_count", lambda: workers)
             calls.clear()
             out = tmp_path / f"workers{workers}"
             assert cli.main([
@@ -505,12 +506,44 @@ class TestCliPredict:
         assert outs[2] == outs[1]
         assert outs[3] == outs[1]
 
+    @pytest.mark.parametrize("window,stride,windows_per_slice", [(8, 8, 16), (16, 12, 9)])
+    def test_convs_inside_a_window_part_do_not_submit_to_the_pool(
+            self, synth_dir, trained_dir, tmp_path, monkeypatch, window, stride,
+            windows_per_slice):
+        """With every conv above the split gate, a batch of windows is split
+        and the convs inside its parts run on their part's thread; only the
+        single-window batch of 16/12 (batches of 8 and 1) is not split, so
+        its convs split their blocks instead."""
+        submitted = []
+        submit = ThreadPoolExecutor.submit
+
+        def recording_submit(executor, fn, *args, **kwargs):
+            submitted.append(fn.__qualname__)
+            return submit(executor, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", recording_submit)
+        monkeypatch.setattr(pool, "worker_count", lambda: 2)
+        monkeypatch.setattr(ops, "_SPLIT_MACS", 0)
+        monkeypatch.setattr(ops, "_BLOCK_COLS", 64)
+        assert cli.main([
+            "predict", "--checkpoint", str(trained_dir / "best.ckpt"),
+            "--volume", str(synth_dir / "volume.mrc"), "--out-dir", str(tmp_path / "out"),
+            "--window", str(window), "--stride", str(stride),
+        ]) == 0
+        windows = [q for q in submitted if q.startswith("_predict_volume.")]
+        assert len(windows) == 5 * (windows_per_slice // cli.PREDICT_BATCH)  # 5 slices
+        convs = set(submitted) - set(windows)
+        if windows_per_slice % cli.PREDICT_BATCH == 1:
+            assert convs and all(q.startswith(("_tap_gemm.", "conv2d_backward.")) for q in convs)
+        else:
+            assert not convs
+
     def test_fresh_statistics_warn_once_per_layer_under_threads(self, trained_dir, synth_dir,
                                                                 tmp_path, monkeypatch, caplog):
         net, _ = load_checkpoint(trained_dir / "best.ckpt")
         fresh = build(net.config)  # running statistics never updated
         save_checkpoint(tmp_path / "fresh.ckpt", fresh, 0, 0.0)
-        monkeypatch.setattr(cli, "_infer_workers", lambda: 2)
+        monkeypatch.setattr(pool, "worker_count", lambda: 2)
         with caplog.at_level("WARNING"):
             assert cli.main([
                 "predict", "--checkpoint", str(tmp_path / "fresh.ckpt"),
@@ -539,7 +572,7 @@ class TestCliPredict:
             return infer(net, batch)
 
         monkeypatch.setattr(SegETNetwork, "infer", failing_infer)
-        monkeypatch.setattr(cli, "_infer_workers", lambda: 2)
+        monkeypatch.setattr(pool, "worker_count", lambda: 2)
         before = threading.active_count()
         out = tmp_path / "pred"
         argv = ["predict", "--checkpoint", str(trained_dir / "best.ckpt"),
@@ -729,15 +762,16 @@ class TestCliPredict:
 @pytest.mark.parametrize("blas_threads,cores,workers", [
     ("1", 1, 1), ("1", 2, 2), ("1", 16, cli.PREDICT_BATCH), (None, 2, 1), ("2", 2, 1),
 ])
-def test_infer_workers_follow_the_blas_thread_count(monkeypatch, blas_threads, cores, workers):
-    """One window thread per usable core when BLAS is pinned to one thread,
-    at most one per window of a batch; one when BLAS may thread itself."""
+def test_worker_count_follows_the_blas_thread_count(monkeypatch, blas_threads, cores, workers):
+    """One worker per usable core when BLAS is pinned to one thread, at
+    most one per window of predict's batch; one when BLAS may thread
+    itself."""
     if blas_threads is None:
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     else:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
-    assert cli._infer_workers() == workers
+    monkeypatch.setattr(pool.os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    assert pool.worker_count() == workers
 
 
 class TestCliEvaluate:

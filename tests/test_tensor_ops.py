@@ -1,6 +1,7 @@
 """Operator-level tests: forward values against independent oracles,
 backward passes against finite differences, and the type invariants."""
 
+import contextlib
 import copy
 import os
 import re
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seget import ops
+from seget import ops, pool
 from seget.tensor import ConvSpec, Parameter, Tensor
 from oracles import bilinear_half_pixel_point, bn_relu_infer_reference, naive_conv2d
 
@@ -466,6 +467,23 @@ def _nan_filled(alloc):
     return nan_alloc
 
 
+@contextlib.contextmanager
+def _split_everything(workers):
+    """A pool scope of `workers` threads in which every conv splits its
+    blocks; yields the set of threads that ran a tap or layout GEMM."""
+    threads = set()
+    matmul = ops._matmul
+
+    def recording_matmul(a, b, out):
+        threads.add(threading.get_ident())
+        matmul(a, b, out)
+
+    with mock.patch.object(ops, "_SPLIT_MACS", 0), \
+            mock.patch.object(ops, "_matmul", recording_matmul), \
+            mock.patch.object(pool, "worker_count", lambda: workers), pool.scope():
+        yield threads
+
+
 # (spec, input shape (N, C, H, W)); odd and even extents
 _SCRATCH_CASES = [
     (ConvSpec(3, 4), (2, 3, 7, 6)),
@@ -523,11 +541,119 @@ class TestConvScratchMemory:
         with mock.patch.object(np, "empty", _nan_filled(np.empty)), \
                 mock.patch.object(np, "empty_like", _nan_filled(np.empty_like)):
             got = self._run(spec, shape, dtype)
+        self._assert_same(got, want)
+
+    @pytest.mark.parametrize("spec, shape", _SCRATCH_CASES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_nan_filled_per_part_scratch_gives_the_same_bits(self, spec, shape, dtype):
+        """The same with every conv split over three workers in blocks of
+        16 columns, each part writing its own scratch and partials."""
+        with mock.patch.object(ops, "_BLOCK_COLS", 16):
+            want = self._run(spec, shape, dtype)
+            with _split_everything(3) as threads, \
+                    mock.patch.object(np, "empty", _nan_filled(np.empty)), \
+                    mock.patch.object(np, "empty_like", _nan_filled(np.empty_like)):
+                got = self._run(spec, shape, dtype)
+        assert len(threads) > 1
+        self._assert_same(got, want)
+
+    @staticmethod
+    def _assert_same(got, want):
         for name, a in got.items():
             assert np.isfinite(a).all(), name
             assert a.dtype == want[name].dtype and a.shape == want[name].shape, name
             want_bytes = np.ascontiguousarray(want[name]).tobytes()
             assert np.ascontiguousarray(a).tobytes() == want_bytes, name
+
+
+# (spec, input shape (N, C, H, W)); with _BLOCK_COLS at 128 each conv has
+# several column blocks, so two and three workers split them unevenly
+_SPLIT_CASES = [
+    (ConvSpec(6, 8), (2, 6, 14, 13)),
+    (ConvSpec(6, 8, stride=2), (2, 6, 15, 14)),
+    (ConvSpec(8, 5, stride=2), (3, 8, 16, 16)),
+    (ConvSpec(6, 4, dilation=2), (2, 6, 16, 16)),
+    (ConvSpec(6, 4, dilation=4), (2, 6, 16, 16)),
+    (ConvSpec(6, 4, dilation=8), (2, 6, 16, 16)),
+    (ConvSpec(6, 4, dilation=8), (2, 6, 8, 8)),      # one live tap of nine
+    (ConvSpec(1, 8), (2, 1, 16, 16)),                # C = 1: nine taps in one GEMM
+    (ConvSpec(3, 4), (2, 3, 12, 12)),                # C = 3: tap groups of 6 and 3
+    (ConvSpec(1, 4, dilation=8), (2, 1, 8, 8)),      # one tap on one channel
+    (ConvSpec(8, 1, kernel=1), (2, 8, 16, 16)),      # the 1x1 logit conv
+]
+
+
+class TestConvSplit:
+    """A conv whose blocks run on several workers gives the bits of one
+    worker: forward (with and without the BN+ReLU epilogue, on one input
+    and on a list of sources) and backward (input gradients per source,
+    and the kernel and bias gradients after two accumulating calls)."""
+
+    @staticmethod
+    def _run(spec, shape, dtype, workers):
+        rng = np.random.default_rng(sum(shape) + spec.stride + spec.dilation)
+        n, c, h, w = shape
+        k, oc = spec.kernel, spec.out_channels
+        x = rng.standard_normal((c, n, h, w)).astype(dtype)
+        kv = rng.standard_normal((oc, c, k, k)).astype(dtype)
+        kernel = Parameter(kv.copy(), "conv-kernel", regularized=True)
+        bias = Parameter(rng.standard_normal(oc).astype(dtype), "conv-bias")
+        kernel2 = Parameter(kv.copy(), "conv-kernel", regularized=True)
+        gamma = Parameter(rng.standard_normal(oc).astype(dtype), "bn-gamma")
+        beta = Parameter(rng.standard_normal(oc).astype(dtype), "bn-beta")
+        state = ops.BatchNormState(rng.standard_normal(oc).astype(dtype),
+                                   rng.uniform(0.5, 2.0, oc).astype(dtype), num_updates=3)
+        sources = [x[: c // 2], x[c // 2 :]] if c > 1 else [x]
+        sources = [Tensor(a.transpose(1, 0, 2, 3)) for a in sources]
+        out = {}
+        with mock.patch.object(ops, "_BLOCK_COLS", 128), _split_everything(workers) as threads:
+            y, cache = ops.conv2d_forward(Tensor(x.transpose(1, 0, 2, 3)), spec, kernel, bias)
+            g = Tensor(rng.standard_normal(y.shape).astype(dtype))
+            out["forward"] = y.data
+            out["infer"] = ops.conv2d_forward(
+                sources, spec, kernel, bias,
+                epilogue=lambda grid: ops.batchnorm_relu_infer(grid, gamma, beta, state))[0].data
+            y2, cache2 = ops.conv2d_forward(sources, spec, kernel2, None)
+            out["sources forward"] = y2.data
+            for call in (1, 2):
+                out[f"input grad {call}"] = ops.conv2d_backward(g, cache, spec, kernel, bias).data
+                for i, piece in enumerate(ops.conv2d_backward(g, cache2, spec, kernel2, None)):
+                    out[f"source {i} grad {call}"] = piece.data
+        out.update({"kernel grad": kernel.grad, "bias grad": bias.grad,
+                    "sources kernel grad": kernel2.grad})
+        return out, threads
+
+    @pytest.mark.parametrize("spec, shape", _SPLIT_CASES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bits_do_not_depend_on_the_worker_count(self, spec, shape, dtype):
+        want, threads = self._run(spec, shape, dtype, 1)
+        assert threads == {threading.get_ident()}
+        for workers in (2, 3):
+            got, threads = self._run(spec, shape, dtype, workers)
+            assert len(threads) > 1  # pool threads ran parts
+            self._assert_same(got, want, workers)
+
+    def test_more_workers_than_cores_under_fast_thread_switches(self):
+        """Five workers switching threads every 10 us still give the bits
+        of one: no part writes what another reads or writes."""
+        spec, shape = ConvSpec(6, 8, stride=2), (3, 6, 24, 24)
+        want, _ = self._run(spec, shape, np.float32, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(3):
+                got, threads = self._run(spec, shape, np.float32, 5)
+                assert len(threads) > 1
+                self._assert_same(got, want, 5)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @staticmethod
+    def _assert_same(got, want, workers):
+        for name, a in got.items():
+            assert a.dtype == want[name].dtype and a.shape == want[name].shape, name
+            assert (np.ascontiguousarray(a).tobytes()
+                    == np.ascontiguousarray(want[name]).tobytes()), (workers, name)
 
 
 class TestConvAliasing:

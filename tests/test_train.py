@@ -1,9 +1,12 @@
 """Adam update values, callback timing against scripted metric
 sequences, training determinism, and evaluation semantics."""
 
+import threading
+
 import numpy as np
 import pytest
 
+from seget import ops, pool
 from seget.checkpoint import load_checkpoint
 from seget.data import Patch
 from seget.losses import ConfusionCounts, accumulate_confusion, make_weight_matrix, miou
@@ -154,6 +157,35 @@ class TestFit:
             return fit(net, make_patches(6), make_patches(2, seed=9), cfg)
 
         assert run("a").log_lines() == run("b").log_lines()
+
+    def test_bytes_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch):
+        """Criterion 9's run with every conv split over its column blocks
+        (blocks of 128 columns, so that the forward has several) writes the
+        same log and checkpoint bytes at 1 and 2 workers."""
+        threads = set()
+        matmul = ops._matmul
+
+        def recording_matmul(a, b, out):
+            threads.add(threading.get_ident())
+            matmul(a, b, out)
+
+        monkeypatch.setattr(ops, "_matmul", recording_matmul)
+        monkeypatch.setattr(ops, "_SPLIT_MACS", 0)
+        monkeypatch.setattr(ops, "_BLOCK_COLS", 128)
+        net_cfg = NetworkConfig(base_filters=2, depth=2, dilation_rates=(1, 2))
+        out = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(pool, "worker_count", lambda: workers)
+            threads.clear()
+            sub = tmp_path / str(workers)
+            sub.mkdir()
+            cfg = TrainConfig(epochs=3, batch_size=2, learning_rate=1e-3,
+                              early_stop_patience=8, seed=7,
+                              checkpoint_path=str(sub / "b.ckpt"))
+            report = fit(build(net_cfg, seed=7), make_patches(6), make_patches(2, seed=9), cfg)
+            out[workers] = (report.log_lines(), (sub / "b.ckpt").read_bytes())
+            assert len(threads) == workers
+        assert out[2] == out[1]
 
     def test_checkpoint_reloads_to_reported_best(self, tmp_path):
         net = build(SMALL, seed=4)
