@@ -20,12 +20,14 @@ owns the dtype: a header "dtype" other than its code is refused. It
 rejects version mismatches, any difference between the file's array
 name set and the network's registry, bytes after the last array, any
 array holding a NaN or an infinite value, and any negative running
-variance.
+variance. It warns once per BN layer whose running statistics were never
+updated, since inference then normalizes by their start values.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import math
 import os
 import struct
@@ -36,6 +38,8 @@ import numpy as np
 
 from .errors import DataFormatError
 from .model import NetworkConfig, SegETNetwork
+
+logger = logging.getLogger(__name__)
 
 MAGIC = b"SGET"
 FORMAT_VERSION = 1
@@ -175,4 +179,7 @@ def load_checkpoint(path: str | Path) -> tuple[SegETNetwork, dict]:
 
     for name, state in net.bn_states.items():
         state.num_updates = bn_updates[name]
+        if state.num_updates == 0:
+            logger.warning("%s: batchnorm %s has default-initialized running stats "
+                           "(mean 0 / var 1); inference behaves as near-identity", path, name)
     return net, meta

@@ -174,10 +174,11 @@ def _predict_volume(net, images: np.ndarray, window: int, stride: int) -> np.nda
     Runs in a pool scope (seget.pool): each batch of PREDICT_BATCH windows
     is split into one contiguous part per worker, the calling thread runs
     the first and the pool the rest, and the parts' outputs are stitched in
-    window order. The convs inside a part find the pool busy and run on
-    their own thread; a batch of one window is not split, so its large
-    convs split their blocks instead. infer keeps no cache and computes
-    each window on its own, so the bytes do not depend on the worker count.
+    window order. A part never sees the pool, so its convs run on its own
+    thread; a batch of one window is not split, so its large convs split
+    their blocks instead. infer keeps no cache, touches no state and
+    computes each window on its own, so the bytes do not depend on the
+    worker count.
     """
     nz, h, w = images.shape
     probs = np.zeros((nz, h, w), dtype=np.float64)
@@ -197,8 +198,7 @@ def _predict_volume(net, images: np.ndarray, window: int, stride: int) -> np.nda
             for start in range(0, len(origins), PREDICT_BATCH):
                 chunk = origins[start : start + PREDICT_BATCH]
                 # each part's task returns its windows with their probabilities
-                parts = pool.run_parts(
-                    chunk, lambda part, _first: lambda: (part, infer_part(s, part)))
+                parts = pool.run_parts(chunk, lambda part: (part, infer_part(s, part)))
                 for part, p in parts:
                     entries.extend((p[i], y, x) for i, (y, x) in enumerate(part))
             probs[s] = dp.stitch_probabilities(entries, (h, w))

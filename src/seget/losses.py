@@ -87,6 +87,17 @@ def bce_stable(
     return _bce(y, t, sigmoid(y), weights)
 
 
+def _jaccard(y: np.ndarray, t: np.ndarray) -> tuple[float, Tensor]:
+    """jaccard_distance_loss on checked arrays."""
+    inter = float((y * t).sum())
+    union = float(y.sum()) + float(t.sum()) - inter
+    denom = union + JACCARD_SMOOTH
+    loss = 1.0 - (inter + JACCARD_SMOOTH) / denom
+    # quotient rule: dJ/dy = (t*(U+s) - (I+s)*(1-t)) / (U+s)^2
+    grad = -(t * denom - (inter + JACCARD_SMOOTH) * (1.0 - t)) / (denom * denom)
+    return loss, Tensor(grad)
+
+
 def jaccard_distance_loss(probs: Tensor, targets: Tensor) -> tuple[float, Tensor]:
     """Smoothed Jaccard distance 1 - (I+s)/(U+s) over all pixels.
 
@@ -100,13 +111,7 @@ def jaccard_distance_loss(probs: Tensor, targets: Tensor) -> tuple[float, Tensor
     if np.any(y < -1e-6) or np.any(y > 1.0 + 1e-6):
         raise ValueError("probs must lie in [0, 1]; apply sigmoid before this loss")
     _require_binary(t, "targets")
-    inter = float((y * t).sum())
-    union = float(y.sum()) + float(t.sum()) - inter
-    denom = union + JACCARD_SMOOTH
-    loss = 1.0 - (inter + JACCARD_SMOOTH) / denom
-    # quotient rule: dJ/dy = (t*(U+s) - (I+s)*(1-t)) / (U+s)^2
-    grad = -(t * denom - (inter + JACCARD_SMOOTH) * (1.0 - t)) / (denom * denom)
-    return loss, Tensor(grad)
+    return _jaccard(y, t)
 
 
 def combined_loss(
@@ -128,7 +133,7 @@ def combined_loss(
     _check_targets(y, t)
     s = sigmoid(y)
     bce, grad_bce = _bce(y, t, s, weights)
-    jac, grad_jac = jaccard_distance_loss(Tensor(s), targets)
+    jac, grad_jac = _jaccard(s, t)
     grad = grad_bce.data + sigmoid_backward(grad_jac, s).data
     total = bce + jac
     if cfg.l2_lambda > 0:

@@ -247,8 +247,9 @@ class SegETNetwork:
     BN gamma 1 and beta 0, running mean 0 and var 1.
 
     A single instance is single-writer: forward, backward, and optimizer
-    steps must not interleave across threads. Frozen inference is safe
-    concurrently on separate instances.
+    steps must not interleave across threads. infer only reads the
+    instance, so several threads may run it on one instance at once, as
+    predict's window threads do, while no training step runs.
     """
 
     def __init__(self, config: NetworkConfig):

@@ -34,8 +34,6 @@ runs in place on its output grid, normalizing by the running statistics.
 from __future__ import annotations
 
 import functools
-import logging
-import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -43,9 +41,6 @@ import numpy as np
 
 from . import pool
 from .tensor import ConvSpec, Parameter, Tensor
-
-logger = logging.getLogger(__name__)
-_FRESH_WARN_LOCK = threading.Lock()  # predict may run one network's infer on several threads
 
 
 # ---------------------------------------------------------------------------
@@ -138,21 +133,20 @@ _FRESH_WARN_LOCK = threading.Lock()  # predict may run one network's infer on se
 #
 # Inside a pool scope (seget.pool: train.fit and predict enter one) a
 # large conv runs its blocks on every worker, in contiguous parts of the
-# block list, each part with its own scratch (operand buffer, temporary,
-# stack, zero-extended last block) made on the calling thread, so the
-# helper threads allocate little. The forward's blocks write disjoint grid
-# columns and the backward's (phase, block) items disjoint layout-gradient
-# columns, so those bits do not depend on the split. The kernel gradient
-# of a phase is the chain ((0 + P_0) + P_1) + ... of its blocks' partials
-# P = S @ phase[:, block].T: the first part adds its partials as it goes,
-# and every later part keeps them, for the calling thread to add in
-# phase-then-block order after the parts end. So every output has the
-# bits of one thread, at any worker count. Only a conv of at least
-# _SPLIT_MACS multiply-adds (grid columns * OC * C * live taps) splits:
-# below it the hand-off costs more than the second core saves. At base 4
-# on 64^2 no conv reaches it (the largest, fuse1.c, is 23.9M at batch 12),
-# at base 16 on 128^2 most do. Splitting every conv slowed a base-4, 64^2
-# training step by 4% (2-core Xeon, one BLAS thread, 30 pairs).
+# block list, each part making its own scratch (operand buffer, temporary,
+# stack, zero-extended last block). The forward's blocks write disjoint
+# grid columns and the backward's (phase, block) items disjoint
+# layout-gradient columns, so those bits do not depend on the split. The
+# kernel gradient of a phase is the chain ((0 + P_0) + P_1) + ... of its
+# blocks' partials P = S @ phase[:, block].T: every part keeps its
+# partials, and the calling thread adds them in phase-then-block order
+# after the parts end. So every output has the bits of one thread, at any
+# worker count. Only a conv of at least _SPLIT_MACS multiply-adds (grid
+# columns * OC * C * live taps) splits: below it the hand-off costs more
+# than the second core saves. At base 4 on 64^2 no conv reaches it (the
+# largest, fuse1.c, is 23.9M at batch 12), at base 16 on 128^2 most do.
+# Splitting every conv slowed a base-4, 64^2 training step by 4% (2-core
+# Xeon, one BLAS thread, 30 pairs).
 _BLOCK_COLS = 4096
 _COL_QUANTUM = 64
 _MIN_GEMM_DEPTH = 16
@@ -364,23 +358,20 @@ def _tap_gemm(layout: np.ndarray, n: int, geo: _Geometry, kernel: np.ndarray) ->
     (first, kfirst), *rest = _tap_groups(geo, kernel)
     depth = len(first) * c
 
-    def part(blocks: range, _first_part: bool) -> Callable[[], None]:
+    def run(blocks: range) -> None:
         # groups of more than one tap copy their slices into buf
         buf = np.empty((depth, width), dtype=dtype) if depth > c else None
         tmp = np.empty((oc, width), dtype=dtype) if rest else None
+        for m0 in blocks:
+            m1 = min(m, m0 + _BLOCK_COLS)
+            acc = out[:, m0:m1]
+            _matmul(kfirst, _operand(layout, first, m0, m1, buf), acc)
+            for group, kmat in rest:
+                t = tmp[:, : m1 - m0]
+                _matmul(kmat, _operand(layout, group, m0, m1, buf), t)
+                acc += t
 
-        def run() -> None:
-            for m0 in blocks:
-                m1 = min(m, m0 + _BLOCK_COLS)
-                acc = out[:, m0:m1]
-                _matmul(kfirst, _operand(layout, first, m0, m1, buf), acc)
-                for group, kmat in rest:
-                    t = tmp[:, : m1 - m0]
-                    _matmul(kmat, _operand(layout, group, m0, m1, buf), t)
-                    acc += t
-        return run
-
-    pool.run_parts(range(0, m, _BLOCK_COLS), part, split=_split(geo, kernel))
+    pool.run_parts(range(0, m, _BLOCK_COLS), run, split=_split(geo, kernel))
     return out
 
 
@@ -479,38 +470,32 @@ def conv2d_backward(
                for *_, (ki, kj) in live]
     gks = [np.zeros_like(k, dtype=dtype) for k in kstacks]
 
-    def part(items: list[tuple[int, int]], first: bool) -> Callable[[], list]:
+    def run(items: list[tuple[int, int]]) -> list[tuple[int, np.ndarray]]:
         stack = np.empty((stack_rows, _quantize(width)), dtype=dtype)
         # the last block, zero-extended to the reduction length
         xlast = np.empty((c, _quantize(last)), dtype=dtype)
         xlast[:, last:] = 0
-        # a later part keeps each block's kernel-gradient partial
-        partials = None if first else np.empty((len(items), stack_rows, c), dtype=dtype)
-
-        def run() -> list[tuple[int, np.ndarray]]:
-            kept = []
-            for i, (p, m0) in enumerate(items):
-                a, b, taps, _ = live[p]
-                m1 = min(length, m0 + width)
-                cols = _quantize(m1 - m0)
-                shifted = stack[: len(taps) * oc, :cols]
-                for r, t in enumerate(taps):
-                    g0 = margin - t.off + m0
-                    shifted[r * oc : (r + 1) * oc] = gz[:, g0 : g0 + cols]
-                x = layout[a, b, :, m0:m1]
-                if cols > m1 - m0:
-                    xlast[:, : m1 - m0] = x
-                    x = xlast
-                if first:
-                    gks[p] += shifted @ x.T
-                else:
-                    kept.append((p, np.matmul(shifted, x.T, out=partials[i, : len(taps) * oc])))
-                _matmul(kstacks[p].T, shifted[:, : m1 - m0], glayout[a, b, :, m0:m1])
-            return kept
-        return run
+        # each block's kernel-gradient partial, added by the caller
+        partials = np.empty((len(items), stack_rows, c), dtype=dtype)
+        kept = []
+        for i, (p, m0) in enumerate(items):
+            a, b, taps, _ = live[p]
+            m1 = min(length, m0 + width)
+            cols = _quantize(m1 - m0)
+            shifted = stack[: len(taps) * oc, :cols]
+            for r, t in enumerate(taps):
+                g0 = margin - t.off + m0
+                shifted[r * oc : (r + 1) * oc] = gz[:, g0 : g0 + cols]
+            x = layout[a, b, :, m0:m1]
+            if cols > m1 - m0:
+                xlast[:, : m1 - m0] = x
+                x = xlast
+            kept.append((p, np.matmul(shifted, x.T, out=partials[i, : len(taps) * oc])))
+            _matmul(kstacks[p].T, shifted[:, : m1 - m0], glayout[a, b, :, m0:m1])
+        return kept
 
     items = [(p, m0) for p in range(len(live)) for m0 in range(0, length, width)]
-    for kept in pool.run_parts(items, part, split=_split(geo, kernel.value)):
+    for kept in pool.run_parts(items, run, split=_split(geo, kernel.value)):
         for p, partial in kept:  # in phase-then-block order
             gks[p] += partial
     gkernel = np.zeros_like(kernel.value)
@@ -545,7 +530,6 @@ class BatchNormState:
     running_mean: np.ndarray
     running_var: np.ndarray
     num_updates: int = 0
-    _warned_fresh_infer: bool = False
 
     @classmethod
     def create(cls, channels: int, dtype: np.dtype | str = np.float32) -> "BatchNormState":
@@ -568,19 +552,12 @@ def running_statistics(state: BatchNormState) -> tuple[np.ndarray, np.ndarray]:
     and (var - m^t)/(1 - m^t). This is computed in float64 from the
     stored EMA and cast back; the clamp at 0 guards the cancellation of
     var - m^t when m^t is near 1. Before any update the stored values are
-    used as they are, with a warning.
+    used as they are (load_checkpoint warns about such a layer). Reads the
+    state and writes nothing, so several threads may share it.
     """
     mean, var = state.running_mean, state.running_var
     t = state.num_updates
-    if t == 0:
-        with _FRESH_WARN_LOCK:  # check and set as one step: warn once per layer
-            if not state._warned_fresh_infer:
-                state._warned_fresh_infer = True
-                logger.warning(
-                    "batchnorm inference with default-initialized running stats "
-                    "(mean 0 / var 1); behaves as near-identity"
-                )
-    else:
+    if t > 0:
         decay = BN_MOMENTUM ** t
         mean = (mean.astype(np.float64) / (1.0 - decay)).astype(mean.dtype)
         var = (np.maximum(var.astype(np.float64) - decay, 0.0) / (1.0 - decay)).astype(var.dtype)

@@ -5,14 +5,17 @@ worker_count() - 1 threads for the length of the call: they start on the
 first task handed to them and are joined when the scope exits, so no
 thread outlives the call. run_parts splits a list of independent items
 (predict's windows, a conv's column blocks) into contiguous parts, one
-per worker. The calling thread always runs the first part and the pool
-the others, and the results come back in part order.
+per worker, and calls task(part) on each: the calling thread runs the
+first part and the pool the others, and the results come back in part
+order.
 
-The scope is a context variable, so only the thread that entered it sees
-the pool: a task on a pool thread, and any thread outside a scope, runs
-every call on its own thread. On the entering thread, a call that finds
-the pool busy, as a conv inside predict's first window part does, runs
-inline too. So the cores are never oversubscribed.
+One rule keeps the cores from being oversubscribed: the parts of a split
+never see the pool, on any thread. The scope is a context variable, so
+only the thread that entered it sees the pool, and that thread hides it
+while it runs the first part. Any call made inside such a part, and any
+call on a thread outside a scope, runs as one part on its own thread. A
+call that is not split (one item, or split=False) is a plain call with
+the pool still visible, so the calls inside it may split.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import os
-import threading
 from typing import Callable, Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -49,7 +51,6 @@ class _Pool:
         from concurrent.futures import ThreadPoolExecutor
 
         self.workers = workers
-        self.busy = threading.Lock()
         # the executor starts a thread on a submit that finds none idle
         self.executor = ThreadPoolExecutor(max(workers - 1, 1))
 
@@ -74,27 +75,24 @@ def scope() -> Iterator[None]:
         pool.executor.shutdown(wait=True)
 
 
-def run_parts(items: Sequence, make: Callable[[Sequence, bool], Callable[[], T]],
-              split: bool = True) -> list[T]:
-    """Splits items into contiguous parts, one per worker of the active
-    pool if it is idle and split is true, else one part. make(part, first)
-    runs on the calling thread, in part order, and returns the task that
-    computes the part; the calling thread runs the first part's task and
-    the pool the others. Returns the tasks' results in part order. If a
-    task raises, every task has ended before the error propagates."""
+def run_parts(items: Sequence, task: Callable[[Sequence], T], split: bool = True) -> list[T]:
+    """Splits items into contiguous parts, one per worker of the visible
+    pool if split is true, else one part, and returns [task(part), ...]
+    in part order. The calling thread runs the first part with the pool
+    hidden, the pool the others. If a task raises, every task has ended
+    before the error propagates."""
     pool = _active.get()
     workers = min(pool.workers, len(items)) if pool is not None and split else 1
-    if workers < 2 or not pool.busy.acquire(blocking=False):
-        return [make(items, True)()]
+    if workers < 2:
+        return [task(items)]
+    bounds = [i * len(items) // workers for i in range(workers + 1)]
+    parts = [items[a:b] for a, b in zip(bounds, bounds[1:])]
+    helpers = [pool.executor.submit(task, part) for part in parts[1:]]
+    token = _active.set(None)
     try:
-        bounds = [i * len(items) // workers for i in range(workers + 1)]
-        tasks = [make(items[a:b], a == 0) for a, b in zip(bounds, bounds[1:])]
-        helpers = [pool.executor.submit(task) for task in tasks[1:]]
-        try:
-            first = tasks[0]()
-        finally:
-            for f in helpers:  # every task ends before any error propagates
-                f.exception()
-        return [first] + [f.result() for f in helpers]
+        first = task(parts[0])
     finally:
-        pool.busy.release()
+        _active.reset(token)
+        for f in helpers:  # every task ends before any error propagates
+            f.exception()
+    return [first] + [f.result() for f in helpers]

@@ -28,6 +28,8 @@ class SynthConfig:
     classes: tuple[str, ...] = DEFAULT_CLASSES
 
     def __post_init__(self) -> None:
+        if self.seed < 0:  # np.random.default_rng refuses it
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.size < 16 or self.size % 16:
             raise ValueError(f"size must be positive and divisible by 16, got {self.size}")
         if self.n_slices < 1:

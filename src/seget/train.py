@@ -110,6 +110,8 @@ class TrainConfig:
             raise ValueError("weight_cap must be >= 1")
         if not 0.0 < self.threshold < 1.0:
             raise ValueError("threshold must lie in (0, 1)")
+        if self.seed < 0:  # np.random.default_rng refuses it
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -79,6 +79,7 @@ BAD_SYNTH_ARGS = [
     ["--size", "0"],
     ["--size", "-16"],
     ["--classes", "foo"],
+    ["--seed", "-1"],
 ]
 
 # thresholds predict and fuse refuse, as train does
@@ -95,6 +96,7 @@ MALFORMED_SETTINGS = [
     "train.threshold=1.5",
     "train.threshold=0",
     "loss.l2_lambda=nan",
+    "train.seed=-1",
 ]
 
 

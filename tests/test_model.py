@@ -1,6 +1,7 @@
 """Network topology, shape contracts, backward wiring, describe(),
 probes, and the checkpoint container."""
 
+import copy
 import hashlib
 import json
 import struct
@@ -356,6 +357,22 @@ class TestInfer:
         for name in grads[0]:
             assert np.array_equal(grads[0][name], grads[1][name]), name
 
+    def test_on_a_fresh_network_logs_nothing_and_keeps_the_bn_state(self, caplog):
+        """Before any update infer reads the running statistics as they are:
+        no warning (load_checkpoint gives it), and every BatchNormState
+        field keeps its value, with no field added."""
+        net = build(SMALL)
+        before = {n: {k: copy.deepcopy(v) for k, v in vars(st).items()}
+                  for n, st in net.bn_states.items()}
+        with caplog.at_level("DEBUG"):
+            net.infer(rand_input(SMALL, n=2))
+        assert not caplog.records
+        for name, st in net.bn_states.items():
+            after = vars(st)
+            assert after.keys() == before[name].keys(), name
+            for key, value in before[name].items():
+                assert np.array_equal(after[key], value), (name, key)
+
     def test_runs_the_training_ops_and_drops_their_caches(self, monkeypatch):
         """One infer of a depth-4 net calls ops.conv2d_forward once per conv
         (36) and ops.bilinear_upsample_2x_forward once per upsample node
@@ -586,6 +603,24 @@ class TestCheckpoint:
         loaded, meta = load_checkpoint(path)
         np.testing.assert_array_equal(loaded.infer(x), before)
         assert meta == {"epoch": 3, "val_miou": 0.5}
+
+    def test_never_updated_bn_layers_warn_once_each_on_load(self, tmp_path, caplog):
+        net = build(SMALL, seed=6)
+        net.forward(rand_input(SMALL, seed=7))  # one update for every layer
+        fresh = sorted(net.bn_states)[::3]
+        for name in fresh:
+            net.bn_states[name].num_updates = 0
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, net, epoch=1, val_miou=0.5)
+        with caplog.at_level("WARNING"):
+            loaded, _ = load_checkpoint(path)
+            loaded.infer(rand_input(SMALL, seed=8))
+        warned = [r.getMessage() for r in caplog.records]
+        assert len(warned) == len(fresh)
+        assert all("default-initialized" in m for m in warned)
+        for name in net.bn_states:
+            hits = [m for m in warned if f"batchnorm {name} " in m]
+            assert len(hits) == (name in fresh), name
 
     @settings(max_examples=200, deadline=None)
     @given(

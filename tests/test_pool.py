@@ -14,36 +14,25 @@ from seget.train import TrainConfig, fit
 from test_train import make_patches
 
 
-def recording_make(log):
-    """A run_parts task maker whose tasks return (their items, their thread)."""
-    def make(part, first):
-        log.append((list(part), first, threading.get_ident()))
-        return lambda: (list(part), threading.get_ident())
-    return make
+def recording_task(part):
+    """A run_parts task that returns its items and its thread."""
+    return list(part), threading.get_ident()
 
 
 def test_outside_a_scope_one_part_runs_on_the_calling_thread():
-    made = []
-    results = pool.run_parts(range(8), recording_make(made))
-    me = threading.get_ident()
-    assert made == [(list(range(8)), True, me)]
-    assert results == [(list(range(8)), me)]
+    assert pool.run_parts(range(8), recording_task) == [(list(range(8)), threading.get_ident())]
 
 
 @pytest.mark.parametrize("workers,items,parts", [
     (1, 8, [8]), (2, 8, [4, 4]), (3, 8, [2, 3, 3]), (3, 2, [1, 1]), (2, 1, [1]),
 ])
-def test_parts_are_contiguous_made_on_the_calling_thread_and_returned_in_order(
-        monkeypatch, workers, items, parts):
+def test_parts_are_contiguous_and_returned_in_order(monkeypatch, workers, items, parts):
     monkeypatch.setattr(pool, "worker_count", lambda: workers)
-    made = []
     me = threading.get_ident()
     with pool.scope():
-        results = pool.run_parts(list(range(items)), recording_make(made))
+        results = pool.run_parts(list(range(items)), recording_task)
     assert [len(p) for p, _ in results] == parts
     assert [i for p, _ in results for i in p] == list(range(items))
-    assert [(p, first) for p, first, _ in made] == [(p, i == 0) for i, (p, _) in enumerate(results)]
-    assert {t for *_, t in made} == {me}
     assert results[0][1] == me
     assert all(t != me for _, t in results[1:])
 
@@ -51,27 +40,49 @@ def test_parts_are_contiguous_made_on_the_calling_thread_and_returned_in_order(
 def test_split_false_runs_one_part(monkeypatch):
     monkeypatch.setattr(pool, "worker_count", lambda: 2)
     with pool.scope():
-        results = pool.run_parts(range(8), recording_make([]), split=False)
+        results = pool.run_parts(range(8), recording_task, split=False)
     assert results == [(list(range(8)), threading.get_ident())]
 
 
-def test_a_call_inside_a_part_finds_the_pool_busy_and_runs_inline(monkeypatch):
+def test_a_call_inside_a_task_runs_inline(monkeypatch):
+    """On the calling thread and on a helper alike, a task does not see
+    the pool, and the calling thread sees it again once the parts end."""
     monkeypatch.setattr(pool, "worker_count", lambda: 2)
-    inner = []
 
-    def make(part, first):
-        def run():
-            made = []
-            inner.append((pool.run_parts(range(4), recording_make(made)), threading.get_ident()))
-            return made
-        return run
+    def task(part):
+        return pool.run_parts(range(4), recording_task), threading.get_ident()
 
     with pool.scope():
-        pool.run_parts(range(2), make)
-        assert pool.run_parts(range(2), recording_make([]))[1][1] != threading.get_ident()
-    assert len(inner) == 2
+        inner = pool.run_parts(range(2), task)
+        assert pool.run_parts(range(2), recording_task)[1][1] != threading.get_ident()
+    assert len(inner) == 2 and inner[0][1] != inner[1][1]
     for results, thread in inner:
         assert results == [(list(range(4)), thread)]
+
+
+def test_a_single_part_call_leaves_the_pool_visible(monkeypatch):
+    """One item is one part, run as a plain call: a call inside it still
+    splits, as the convs of predict's one-window batch do."""
+    monkeypatch.setattr(pool, "worker_count", lambda: 2)
+    with pool.scope():
+        [inner] = pool.run_parts([0], lambda part: pool.run_parts(range(4), recording_task))
+    assert [p for p, _ in inner] == [[0, 1], [2, 3]]
+    assert inner[0][1] == threading.get_ident() != inner[1][1]
+
+
+def test_the_pool_is_visible_again_after_a_first_part_fails(monkeypatch):
+    monkeypatch.setattr(pool, "worker_count", lambda: 2)
+    me = threading.get_ident()
+
+    def task(part):
+        if threading.get_ident() == me:
+            raise ValueError("injected failure")
+        return part
+
+    with pool.scope():
+        with pytest.raises(ValueError, match="injected failure"):
+            pool.run_parts(range(2), task)
+        assert pool.run_parts(range(2), recording_task)[1][1] != me
 
 
 def test_only_the_thread_that_entered_a_scope_sees_its_pool(monkeypatch):
@@ -79,7 +90,7 @@ def test_only_the_thread_that_entered_a_scope_sees_its_pool(monkeypatch):
     seen = []
 
     def elsewhere():
-        seen.append(pool.run_parts(range(4), recording_make([])))
+        seen.append(pool.run_parts(range(4), recording_task))
 
     with pool.scope():
         other = threading.Thread(target=elsewhere)
@@ -95,7 +106,7 @@ def test_no_thread_outlives_a_scope(monkeypatch):
     with pool.scope():
         assert threading.active_count() == before  # threads start on the first task
         with pool.scope():  # a nested scope uses the outer pool
-            pool.run_parts(range(6), recording_make([]))
+            pool.run_parts(range(6), recording_task)
         assert threading.active_count() > before
     assert threading.active_count() == before
 

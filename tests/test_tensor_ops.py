@@ -8,7 +8,6 @@ import re
 import subprocess
 import sys
 import threading
-import time
 from pathlib import Path
 from unittest import mock
 
@@ -749,44 +748,6 @@ class TestBatchNorm:
         ops.batchnorm_relu_infer(h, gamma, beta, state)
         np.testing.assert_allclose(h.transpose(1, 0, 2, 3),
                                    np.maximum(x, 0) / np.sqrt(1.0 + ops.BN_EPS))
-
-    def test_infer_before_training_warns(self, caplog):
-        """Once per layer, also when several threads run its inference BN
-        at the same moment, as predict's window threads do: the flag is
-        checked and set as one step. Reading the flag here yields to the
-        other threads, so a check apart from its set lets each of them warn."""
-
-        class YieldingFlagState(ops.BatchNormState):
-            @property
-            def _warned_fresh_infer(self):
-                warned = self.__dict__["warned"]
-                time.sleep(0.005)
-                return warned
-
-            @_warned_fresh_infer.setter
-            def _warned_fresh_infer(self, value):
-                self.__dict__["warned"] = value
-
-        gamma = Parameter(np.ones(1), "bn-gamma")
-        beta = Parameter(np.zeros(1), "bn-beta")
-        layers, threads = 3, 4
-        with caplog.at_level("WARNING"):
-            for _ in range(layers):
-                state = YieldingFlagState.create(1, dtype=np.float64)
-                gate = threading.Barrier(threads)
-
-                def run(state=state, gate=gate):
-                    gate.wait(timeout=10)
-                    ops.batchnorm_relu_infer(np.zeros((1, 1, 2, 2)), gamma, beta, state)
-
-                workers = [threading.Thread(target=run) for _ in range(threads)]
-                for t in workers:
-                    t.start()
-                for t in workers:
-                    t.join(timeout=10)
-                    assert not t.is_alive()
-        warned = [r for r in caplog.records if "default-initialized" in r.message]
-        assert len(warned) == layers
 
     def test_running_stats_ema(self):
         rng = np.random.default_rng(2)
