@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError
-from .losses import make_weight_matrix
+from .losses import foreground_weight
 
 logger = logging.getLogger(__name__)
 
@@ -125,9 +125,10 @@ def normalize(volume: MrcVolume, per_slice: bool = False) -> np.ndarray:
 
 @dataclass
 class Patch:
+    """One window of a slice; extract_patches makes image and mask views."""
     image: np.ndarray      # (H, W), float in [0, 1]
     mask: np.ndarray       # (H, W), binary
-    weights: np.ndarray    # (H, W), foreground B/F weights
+    fg_weight: float       # loss weight of the foreground pixels (losses.foreground_weight)
     slice_index: int
     y: int
     x: int
@@ -135,6 +136,11 @@ class Patch:
     @property
     def positive(self) -> bool:
         return bool(np.any(self.mask))
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Per-pixel loss weights (H, W): fg_weight on foreground, 1.0 on background."""
+        return np.where(self.mask == 1, self.fg_weight, 1.0)
 
 
 def window_origins(h: int, w: int, window: int, stride: int,
@@ -169,27 +175,21 @@ def extract_patches(
     slice_index: int = 0,
     weight_cap: float = 2000.0,
 ) -> list[Patch]:
-    """Sliding-window patches with attached weight matrices.
-
-    No edge padding is applied; partial windows are never emitted.
+    """Sliding-window patches, each with its foreground weight; their image
+    and mask are read-only views of the slices, which stay writable. No
+    edge padding is applied; partial windows are never emitted.
     """
     if image_slice.shape != mask_slice.shape:
         raise DataFormatError(
             f"image slice {image_slice.shape} and mask slice {mask_slice.shape} differ"
         )
+    image_slice, mask_slice = image_slice.view(), mask_slice.view()
+    image_slice.flags.writeable = mask_slice.flags.writeable = False
     patches = []
     for y, x in window_origins(*image_slice.shape, window, stride):
-        mask = np.ascontiguousarray(mask_slice[y : y + window, x : x + window])
-        patches.append(
-            Patch(
-                image=np.ascontiguousarray(image_slice[y : y + window, x : x + window]),
-                mask=mask,
-                weights=make_weight_matrix(mask, weight_cap),
-                slice_index=slice_index,
-                y=y,
-                x=x,
-            )
-        )
+        mask = mask_slice[y : y + window, x : x + window]
+        patches.append(Patch(image_slice[y : y + window, x : x + window], mask,
+                             foreground_weight(mask, weight_cap), slice_index, y, x))
     return patches
 
 
@@ -258,8 +258,7 @@ def manifest_lines(patches: list[Patch]) -> str:
     """Line-oriented patch index for reproducibility audits."""
     lines = ["# slice\ty\tx\tpositive\tfg_weight"]
     for p in patches:
-        fg_weight = float(p.weights.max())
-        lines.append(f"{p.slice_index}\t{p.y}\t{p.x}\t{int(p.positive)}\t{fg_weight:.6g}")
+        lines.append(f"{p.slice_index}\t{p.y}\t{p.x}\t{int(p.positive)}\t{p.fg_weight:.6g}")
     return "\n".join(lines) + "\n"
 
 

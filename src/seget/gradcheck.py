@@ -94,40 +94,61 @@ def _check(name: str, tolerance: float, proj: np.ndarray, op: Callable,
 
 
 def _check_conv(rng: np.random.Generator, spec: ConvSpec, shape, name: str,
-                tolerance: float) -> GradCheckReport:
-    x0 = rng.standard_normal(shape)
+                tolerance: float, sources: Sequence[int] = ()) -> GradCheckReport:
+    """With sources, the input is a list of Tensors with those channel
+    counts, as a decoder conv reads it, and the backward must return one
+    gradient per source."""
+    n, _, h, w = shape
+    xs = ([rng.standard_normal((n, c, h, w)) for c in sources] if sources
+          else [rng.standard_normal(shape)])
     kshape = (spec.out_channels, spec.in_channels, spec.kernel, spec.kernel)
     k0 = rng.standard_normal(kshape)
     b0 = rng.standard_normal(spec.out_channels)
-    oh, ow = spec.out_spatial(shape[2], shape[3])
-    proj = rng.standard_normal((shape[0], spec.out_channels, oh, ow))
+    oh, ow = spec.out_spatial(h, w)
+    proj = rng.standard_normal((n, spec.out_channels, oh, ow))
 
-    def op(g, x, k, b):
+    def op(g, *args):
+        *x, k, b = args
         kernel = Parameter(k.copy(), "conv-kernel", regularized=True)
         bias = Parameter(b.copy(), "conv-bias")
-        y, cache = ops.conv2d_forward(Tensor(x), spec, kernel, bias)
+        inputs = [Tensor(a) for a in x] if sources else Tensor(x[0])
+        y, cache = ops.conv2d_forward(inputs, spec, kernel, bias)
         gx = ops.conv2d_backward(g, cache, spec, kernel, bias)
-        return y, (gx.data, kernel.grad, bias.grad)
+        gxs = [t.data for t in gx] if sources else [gx.data]
+        return y, (*gxs, kernel.grad, bias.grad)
 
-    return _check(name, tolerance, proj, op, x0, k0, b0)
+    return _check(name, tolerance, proj, op, *xs, k0, b0)
 
 
-def _check_batchnorm(rng: np.random.Generator, tolerance: float) -> GradCheckReport:
+def _check_batchnorm(rng: np.random.Generator, tolerance: float,
+                     relu: bool = False) -> GradCheckReport:
+    """The BN pair, or with relu the BN+ReLU pair the network's units run."""
     shape = (2, 3, 4, 4)
     x0 = rng.standard_normal(shape)
     g0 = rng.standard_normal(3) * 0.5 + 1.0
     b0 = rng.standard_normal(3) * 0.1
     proj = rng.standard_normal(shape)
 
+    def near_kink(x):  # an output within 1e-3 of ReLU's kink at 0
+        xhat = (x - x.mean(axis=(0, 2, 3), keepdims=True)) / np.sqrt(
+            x.var(axis=(0, 2, 3), keepdims=True) + ops.BN_EPS)
+        return np.abs(xhat * g0[:, None, None] + b0[:, None, None]).min() < 1e-3
+
+    while relu and near_kink(x0):  # finite differences are valid off the kink
+        x0 = rng.standard_normal(shape)
+    forward, backward = ((ops.batchnorm_relu_forward, ops.batchnorm_relu_backward) if relu
+                         else (ops.batchnorm_forward, ops.batchnorm_backward))
+
     def op(g, x, gm, b):
         gamma = Parameter(gm.copy(), "bn-gamma")
         beta = Parameter(b.copy(), "bn-beta")
         state = ops.BatchNormState.create(3, dtype=np.float64)
-        y, cache = ops.batchnorm_forward(Tensor(x), gamma, beta, state)
-        gx = ops.batchnorm_backward(g, cache, gamma, beta)
+        y, cache = forward(Tensor(x), gamma, beta, state)
+        gx = backward(g, cache, gamma, beta)
         return y, (gx.data, gamma.grad, beta.grad)
 
-    return _check("batchnorm(train)", tolerance, proj, op, x0, g0, b0)
+    return _check("batchnorm_relu(train)" if relu else "batchnorm(train)",
+                  tolerance, proj, op, x0, g0, b0)
 
 
 def _check_relu(rng: np.random.Generator, tolerance: float) -> GradCheckReport:
@@ -150,8 +171,8 @@ def _check_sigmoid(rng: np.random.Generator, tolerance: float) -> GradCheckRepor
     proj = rng.standard_normal(shape)
 
     def op(g, x):
-        y, cache = ops.sigmoid_forward(Tensor(x))
-        return y, (ops.sigmoid_backward(g, cache).data,)
+        s = ops.sigmoid(x)
+        return Tensor(s), (ops.sigmoid_backward(g, s).data,)
 
     return _check("sigmoid", tolerance, proj, op, x0)
 
@@ -222,7 +243,10 @@ def run_operator_suite(
     Conv variants cover stride 2, dilation, and 1x1 kernels; every check
     runs once per seed on fresh random inputs. The stride-2 "same"
     padding is 0 top / 1 bottom on an even extent and 1 / 1 on an odd
-    one, so the 7x6 case mixes both on a non-square input.
+    one, so the 7x6 case mixes both on a non-square input. The last two
+    checks are the backward paths every training step runs: the BN+ReLU
+    pair and a conv on two sources, as a decoder conv reads its skip and
+    upsampled inputs.
     """
     conv_variants = [
         ("conv2d(3x3,s1,d1)", ConvSpec(3, 4, kernel=3, stride=1, dilation=1), (2, 3, 6, 6)),
@@ -242,4 +266,8 @@ def run_operator_suite(
         reports.append(_check_sigmoid(rng, tolerance))
         reports.append(_check_upsample(rng, tolerance))
         reports.append(_check_concat(rng, tolerance))
+        reports.append(_check_batchnorm(rng, tolerance, relu=True))
+        reports.append(_check_conv(rng, ConvSpec(5, 3), (2, 5, 6, 6),
+                                   f"conv2d(3x3,s1,d1,2 sources)[seed={seed}]", tolerance,
+                                   sources=(2, 3)))
     return reports

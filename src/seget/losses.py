@@ -232,14 +232,13 @@ def bf_ratio(mask: np.ndarray, cap: float = 2000.0) -> float:
     return (m.size - fg) / fg
 
 
-def make_weight_matrix(mask: np.ndarray, cap: float = 2000.0) -> np.ndarray:
-    """Per-pixel weights: background 1.0, foreground min(B/F ratio, cap)."""
+def foreground_weight(mask: np.ndarray, cap: float = 2000.0) -> float:
+    """Loss weight of one binary patch's foreground pixels (background
+    pixels weigh 1.0): its B/F ratio clipped to [1, cap], or 1.0 when the
+    patch has no foreground."""
     m = np.asarray(mask)
     _require_binary(m, "mask")
     fg = int(np.count_nonzero(m))
-    weights = np.ones(m.shape, dtype=np.float64)
     if fg == 0:
-        return weights
-    ratio = min((m.size - fg) / fg, float(cap))
-    weights[m == 1] = max(ratio, 1.0)
-    return weights
+        return 1.0
+    return max(min((m.size - fg) / fg, float(cap)), 1.0)

@@ -705,11 +705,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def sigmoid_forward(x: Tensor) -> tuple[Tensor, np.ndarray]:
-    s = sigmoid(x.data)
-    return Tensor(s), s
-
-
 def sigmoid_backward(grad_out: Tensor, s: np.ndarray | None) -> Tensor:
     if s is None:
         raise ValueError("sigmoid_backward requires the forward cache")

@@ -41,6 +41,15 @@ def naive_conv2d(x, kernel, bias, stride=1, dilation=1):
     return out
 
 
+def weight_matrix_reference(mask, cap):
+    """Per-pixel B/F loss weights of one binary patch: 1.0 on background;
+    on foreground, the background/foreground pixel ratio clipped to
+    [1, cap], or 1.0 when the patch has no foreground."""
+    fg = sum(int(v == 1) for v in np.ravel(mask))
+    weight = max(min((np.size(mask) - fg) / fg, cap), 1.0) if fg else 1.0
+    return np.array([[weight if v == 1 else 1.0 for v in row] for row in mask])
+
+
 def brute_force_iou_stats(pred, gt, num_classes):
     """Per-class (intersection, union) as exact integers, by pixel loops."""
     inter = [0] * num_classes

@@ -17,7 +17,7 @@ from seget.losses import (
     ConfusionCounts,
     accumulate_confusion,
     bce_stable,
-    make_weight_matrix,
+    foreground_weight,
     miou,
 )
 from seget.model import NetworkConfig, build, probe_center_branches
@@ -132,14 +132,15 @@ def test_criterion_6_pipeline_arithmetic():
         m = np.zeros((8, 8), dtype=np.int8)
         if positive:
             m[0, 0] = 1
-        return Patch(np.zeros((8, 8)), m, make_weight_matrix(m), 0, 0, 0)
+        return Patch(np.zeros((8, 8)), m, foreground_weight(m), 0, 0, 0)
 
     ten = [patch(i < 2) for i in range(10)]  # 2 positive, 8 negative
     oversampled = len(oversample_positive(ten, copies=4))
 
     lone = np.zeros((512, 512), dtype=np.int8)
     lone[5, 5] = 1
-    weight = make_weight_matrix(lone, cap=2000.0)[5, 5]
+    [single] = extract_patches(np.zeros((512, 512)), lone, 512, 512, weight_cap=2000.0)
+    weight = single.weights[5, 5]
 
     ok = n_patches == 49 and oversampled == 18 and weight == 2000.0
     _report(6, ok, f"patches={n_patches} (want 49), oversampled={oversampled} "

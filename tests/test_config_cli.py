@@ -540,12 +540,11 @@ class TestCliPredict:
         else:
             assert not convs
 
-    def test_fresh_statistics_warn_once_per_layer_under_threads(self, trained_dir, synth_dir,
-                                                                tmp_path, monkeypatch, caplog):
+    def test_fresh_statistics_warn_once_per_layer(self, trained_dir, synth_dir, tmp_path,
+                                                  caplog):
         net, _ = load_checkpoint(trained_dir / "best.ckpt")
         fresh = build(net.config)  # running statistics never updated
         save_checkpoint(tmp_path / "fresh.ckpt", fresh, 0, 0.0)
-        monkeypatch.setattr(pool, "worker_count", lambda: 2)
         with caplog.at_level("WARNING"):
             assert cli.main([
                 "predict", "--checkpoint", str(tmp_path / "fresh.ckpt"),

@@ -2,6 +2,7 @@
 arithmetic, oversampling, stitching, netpbm output, and fusion."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from seget.data import (
     write_mask_pgm,
 )
 from seget.errors import DataFormatError
+from oracles import weight_matrix_reference
 
 
 def mrc_fixture(nx, ny, nz, mode=0, payload=b"", ext=b""):
@@ -227,6 +229,53 @@ class TestPatching:
         assert len(window_origins(100, 100, 64, 32)) == 4
 
 
+class TestPatchWindows:
+    """Patches are read-only windows of the volume and the mask, and their
+    weight matrix is built on demand from one foreground weight."""
+
+    def _stack(self, seed=5, shape=(6, 32, 32)):
+        rng = np.random.default_rng(seed)
+        return rng.random(shape), (rng.random(shape) > 0.9).astype(np.int8)
+
+    def test_patches_are_read_only_views_of_the_volume(self):
+        images, masks = self._stack()
+        split = split_train_val(images, masks, window=16, stride=8, period=5)
+        direct = extract_patches(images[2], masks[2], 16, 8, slice_index=2)
+        for p in split.train + split.val + direct:
+            assert np.shares_memory(p.image, images) and np.shares_memory(p.mask, masks)
+            window = (p.slice_index, slice(p.y, p.y + 16), slice(p.x, p.x + 16))
+            np.testing.assert_array_equal(p.image, images[window])
+            np.testing.assert_array_equal(p.mask, masks[window])
+            with pytest.raises(ValueError, match="read-only"):
+                p.image[0, 0] = 0.5
+            with pytest.raises(ValueError, match="read-only"):
+                p.mask[0, 0] = 1
+        assert images.flags.writeable and masks.flags.writeable
+
+    def test_split_holds_no_copy_of_the_volume(self):
+        """294 overlapping 64^2 windows over 3.5 MB of volume and mask: as
+        copies with weight matrices they would hold 20 MB."""
+        images, masks = self._stack(shape=(6, 256, 256))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            split = split_train_val(images, masks, window=64, stride=32)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(split.train) + len(split.val) == 294
+        assert held < 1_000_000
+
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.floats(1.0, 5000.0))
+    @settings(max_examples=60, deadline=None)
+    def test_weights_follow_the_per_pixel_rule(self, seed, density, cap):
+        rng = np.random.default_rng(seed)
+        mask = (rng.random((24, 24)) < density).astype(np.int8)
+        for p in extract_patches(rng.random((24, 24)), mask, 8, 4, weight_cap=cap):
+            assert p.weights.dtype == np.float64
+            np.testing.assert_array_equal(p.weights, weight_matrix_reference(p.mask, cap))
+
+
 class TestHoldout:
     def test_76_slices_period_5(self):
         train, val = holdout_indices(76, period=5)
@@ -270,7 +319,7 @@ class TestOversample:
             if i in positives:
                 mask[0, 0] = 1
             out.append(Patch(np.full((4, 4), float(i)), mask,
-                             np.ones((4, 4)), slice_index=0, y=0, x=i))
+                             1.0, slice_index=0, y=0, x=i))
         return out
 
     def test_copy_arithmetic(self):
@@ -425,7 +474,7 @@ class TestManifest:
     def test_line_format(self):
         patches = [
             Patch(np.zeros((2, 2)), np.array([[1, 0], [0, 0]]),
-                  np.full((2, 2), 3.0), slice_index=7, y=4, x=8)
+                  3.0, slice_index=7, y=4, x=8)
         ]
         text = manifest_lines(patches)
         header, line = text.strip().splitlines()

@@ -50,23 +50,10 @@ def test_conv_passes_at_1e4():
 def test_two_source_conv_passes(spec, shape):
     """A conv on a list of two sources: each source's gradient, the kernel
     gradient and the bias gradient against central differences."""
-    rng = np.random.default_rng(7)
     n, h, w = shape
-    a0 = rng.standard_normal((n, 2, h, w))
-    b0 = rng.standard_normal((n, 3, h, w))
-    k0 = rng.standard_normal((spec.out_channels, 5, spec.kernel, spec.kernel))
-    c0 = rng.standard_normal(spec.out_channels)
-    proj = rng.standard_normal((n, spec.out_channels, *spec.out_spatial(h, w)))
-
-    def op(g, a, b, k, c):
-        kernel = Parameter(k.copy(), "conv-kernel", regularized=True)
-        bias = Parameter(c.copy(), "conv-bias")
-        y, cache = ops.conv2d_forward([Tensor(a), Tensor(b)], spec, kernel, bias)
-        ga, gb = ops.conv2d_backward(g, cache, spec, kernel, bias)
-        return y, (ga.data, gb.data, kernel.grad, bias.grad)
-
-    report = gc._check(f"conv2d[a, b] s{spec.stride} k{spec.kernel}", gc.DEFAULT_TOLERANCE,
-                       proj, op, a0, b0, k0, c0)
+    report = gc._check_conv(np.random.default_rng(7), spec, (n, 5, h, w),
+                            f"conv2d[a, b] s{spec.stride} k{spec.kernel}", gc.DEFAULT_TOLERANCE,
+                            sources=(2, 3))
     assert report.passed, report.line()
 
 
@@ -96,6 +83,8 @@ def test_mutated_backward_op_fails_suite(monkeypatch):
 
     def corrupted(grad_out, cache, spec, kernel, bias):
         out = real_backward(grad_out, cache, spec, kernel, bias)
+        if isinstance(out, list):  # one gradient per source
+            return [Tensor(t.data * 1.01) for t in out]
         return Tensor(out.data * 1.01)
 
     monkeypatch.setattr(ops, "conv2d_backward", corrupted)

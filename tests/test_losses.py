@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from seget.data import Patch
 from seget.losses import (
     ConfusionCounts,
     LossConfig,
@@ -16,8 +17,8 @@ from seget.losses import (
     bce_stable,
     bf_ratio,
     combined_loss,
+    foreground_weight,
     jaccard_distance_loss,
-    make_weight_matrix,
     miou,
     pixel_accuracy,
 )
@@ -274,21 +275,18 @@ class TestWeighting:
         mask = np.zeros((4, 4), dtype=np.int64)
         mask[0, :4] = 1
         assert bf_ratio(mask) == 3.0
-        w = make_weight_matrix(mask)
-        assert np.all(w[mask == 1] == 3.0)
-        assert np.all(w[mask == 0] == 1.0)
+        assert foreground_weight(mask) == 3.0
 
     def test_single_pixel_patch_hits_cap(self):
         mask = np.zeros((512, 512), dtype=np.int64)
         mask[100, 100] = 1
         assert bf_ratio(mask, cap=2000.0) == 262143.0
-        w = make_weight_matrix(mask, cap=2000.0)
-        assert w[100, 100] == 2000.0
+        assert foreground_weight(mask, cap=2000.0) == 2000.0
 
     def test_all_background_patch(self):
         mask = np.zeros((8, 8), dtype=np.int64)
         assert bf_ratio(mask, cap=2000.0) == 2000.0  # reporting convention
-        np.testing.assert_array_equal(make_weight_matrix(mask), np.ones((8, 8)))
+        assert foreground_weight(mask) == 1.0
 
     @given(
         hnp.arrays(np.int64, (6, 6), elements=st.integers(0, 1)),
@@ -296,7 +294,7 @@ class TestWeighting:
     )
     @settings(max_examples=80, deadline=None)
     def test_weight_matrix_invariants(self, mask, cap):
-        w = make_weight_matrix(mask, cap)
+        w = Patch(np.zeros(mask.shape), mask, foreground_weight(mask, cap), 0, 0, 0).weights
         assert np.all(w[mask == 0] == 1.0)
         assert np.all(w[mask == 1] >= 1.0)
         assert np.all(w[mask == 1] <= max(cap, 1.0))

@@ -9,7 +9,7 @@ import pytest
 from seget import ops, pool
 from seget.checkpoint import load_checkpoint
 from seget.data import Patch
-from seget.losses import ConfusionCounts, accumulate_confusion, make_weight_matrix, miou
+from seget.losses import ConfusionCounts, accumulate_confusion, foreground_weight, miou
 from seget.model import NetworkConfig, build
 from seget.tensor import Parameter, Tensor
 from seget.train import Adam, TrainConfig, evaluate, fit
@@ -31,7 +31,7 @@ def make_patches(n, hw=16, seed=0):
         image = 0.2 + 0.6 * mask + rng.normal(0, 0.05, (hw, hw))
         patches.append(
             Patch(image=np.clip(image, 0, 1), mask=mask,
-                  weights=make_weight_matrix(mask, 100.0), slice_index=i, y=0, x=0)
+                  fg_weight=foreground_weight(mask, 100.0), slice_index=i, y=0, x=0)
         )
     return patches
 
