@@ -81,6 +81,14 @@ def _load_binary_mask_stack(path: Path) -> np.ndarray:
     return (dp.read_mrc(path).data != 0).astype(np.int64)
 
 
+def _slice_names(stem: str, n: int, suffix: str) -> list[str]:
+    """File names of n slices in slice order: the index is padded to the
+    width of the largest one, at least 3 digits, so that the names also
+    sort in slice order (as evaluate reads a directory of masks)."""
+    width = max(3, len(str(n - 1)))
+    return [f"{stem}{s:0{width}d}{suffix}" for s in range(n)]
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -110,15 +118,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ConfigError("train requires --volume and --mask (or paths in the config)")
     _require_window_fits(cfg.data.window, cfg.network)
 
-    volume = dp.read_mrc(cfg.paths.volume)
-    mask_vol = dp.read_mrc(cfg.paths.mask)
-    images = dp.normalize(volume, per_slice=cfg.data.normalize_per_slice)
-    masks = (mask_vol.data != 0).astype(np.int8)
-    if images.shape != masks.shape:
-        raise DataFormatError(
-            f"volume {images.shape} and mask {masks.shape} stacks do not align"
-        )
-
+    # the MRC files' bytes are dropped as soon as each array is made
+    images = dp.normalize(dp.read_mrc(cfg.paths.volume),
+                          per_slice=cfg.data.normalize_per_slice)
+    masks = (dp.read_mrc(cfg.paths.mask).data != 0).astype(np.int8)
     split = dp.split_train_val(
         images,
         masks,
@@ -169,18 +172,21 @@ def _require_window_fits(window: int, config: NetworkConfig) -> None:
 def _predict_volume(net, images: np.ndarray, window: int, stride: int) -> np.ndarray:
     """Per-slice patch inference with mean-overlap stitching; edge-aligned
     last windows cover the strips a stride that does not divide
-    extent - window would leave out.
+    extent - window would leave out. Every slice has the same extents, so
+    the window grid is laid once, before any inference: a window larger
+    than the slices is a DataFormatError naming their extents.
 
     Runs in a pool scope (seget.pool): each batch of PREDICT_BATCH windows
     is split into one contiguous part per worker, the calling thread runs
-    the first and the pool the rest, and the parts' outputs are stitched in
-    window order. A part never sees the pool, so its convs run on its own
-    thread; a batch of one window is not split, so its large convs split
-    their blocks instead. infer keeps no cache, touches no state and
-    computes each window on its own, so the bytes do not depend on the
-    worker count.
+    the first and the pool the rest, and the parts' probabilities, joined
+    in part order, are stitched in window order. A part never sees the
+    pool, so its convs run on its own thread; a batch of one window is not
+    split, so its large convs split their blocks instead. infer keeps no
+    cache, touches no state and computes each window on its own, so the
+    bytes do not depend on the worker count.
     """
     nz, h, w = images.shape
+    origins = dp.window_origins(h, w, window, stride, edge_aligned=True)
     probs = np.zeros((nz, h, w), dtype=np.float64)
     dt = net.config.np_dtype
 
@@ -190,17 +196,11 @@ def _predict_volume(net, images: np.ndarray, window: int, stride: int) -> np.nda
 
     with pool.scope():
         for s in range(nz):
-            try:
-                origins = dp.window_origins(h, w, window, stride, edge_aligned=True)
-            except DataFormatError as exc:
-                raise DataFormatError(f"slice {s}: {exc}") from exc
             entries = []
             for start in range(0, len(origins), PREDICT_BATCH):
                 chunk = origins[start : start + PREDICT_BATCH]
-                # each part's task returns its windows with their probabilities
-                parts = pool.run_parts(chunk, lambda part: (part, infer_part(s, part)))
-                for part, p in parts:
-                    entries.extend((p[i], y, x) for i, (y, x) in enumerate(part))
+                p = np.concatenate(pool.run_parts(chunk, lambda part: infer_part(s, part)))
+                entries.extend((p_i, y, x) for p_i, (y, x) in zip(p, chunk))
             probs[s] = dp.stitch_probabilities(entries, (h, w))
     return probs
 
@@ -221,15 +221,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
         raise ConfigError(f"predict --stride must lie in [1, --window={window}], got {stride}")
     net, meta = load_checkpoint(args.checkpoint)
     _require_window_fits(window, net.config)
-    volume = dp.read_mrc(args.volume)
-    images = dp.normalize(volume, per_slice=args.normalize_per_slice)
+    images = dp.normalize(dp.read_mrc(args.volume), per_slice=args.normalize_per_slice)
     probs = _predict_volume(net, images, window, stride)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     threshold = args.threshold
-    for s in range(probs.shape[0]):
+    for s, name in enumerate(_slice_names("slice_", probs.shape[0], ".pgm")):
         mask = (probs[s] > threshold).astype(np.uint8)
-        (out_dir / f"slice_{s:03d}.pgm").write_bytes(dp.write_mask_pgm(mask))
+        (out_dir / name).write_bytes(dp.write_mask_pgm(mask))
     if args.save_probs:
         np.save(out_dir / "probs.npy", probs.astype(np.float32))
     print(f"wrote {probs.shape[0]} masks to {out_dir} "
@@ -294,8 +293,8 @@ def cmd_fuse(args: argparse.Namespace) -> int:
     fused = dp.fuse_probabilities(stacks, threshold=args.threshold)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for s in range(fused.shape[0]):
-        (out_dir / f"fused_{s:03d}.ppm").write_bytes(dp.write_fused_ppm(fused[s]))
+    for s, name in enumerate(_slice_names("fused_", fused.shape[0], ".ppm")):
+        (out_dir / name).write_bytes(dp.write_fused_ppm(fused[s]))
     np.save(out_dir / "fused.npy", fused)
     print(f"wrote {fused.shape[0]} fused masks to {out_dir}")
     return EXIT_OK

@@ -94,29 +94,32 @@ def mrc_bytes(volume: np.ndarray) -> bytes:
 
 
 def normalize(volume: MrcVolume, per_slice: bool = False) -> np.ndarray:
-    """Linear map of sample values onto [0, 1]; constant input maps to 0.5.
+    """Linear map of sample values onto [0, 1], over the whole volume or
+    over each slice; a constant volume or slice maps to 0.5.
 
-    A NaN or infinite voxel would turn the whole map into NaN, so it is
-    refused with DataFormatError naming the first one.
+    The one float64 copy of the volume is scaled in place, part by part,
+    so the call holds no more than its output. A NaN or infinite voxel
+    would turn the whole map into NaN; it shows in its part's min or max,
+    and only then is the finite mask built, to refuse the volume with a
+    DataFormatError naming the count and the first such voxel. The parts
+    before it are finite, so the mask reads as it would on the raw volume.
     """
     data = volume.data.astype(np.float64)
-    finite = np.isfinite(data)
-    if not finite.all():
-        s, y, x = np.unravel_index(np.argmin(finite), data.shape)  # first False
-        raise DataFormatError(
-            f"volume holds {int(finite.size - np.count_nonzero(finite))} non-finite voxels, "
-            f"the first at (slice {s}, y {y}, x {x})"
-        )
-
-    def _minmax(a: np.ndarray) -> np.ndarray:
-        lo, hi = float(a.min()), float(a.max())
+    for part in data if per_slice else (data,):
+        lo, hi = float(part.min()), float(part.max())
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            finite = np.isfinite(data)
+            s, y, x = np.unravel_index(np.argmin(finite), data.shape)  # first False
+            raise DataFormatError(
+                f"volume holds {int(finite.size - np.count_nonzero(finite))} non-finite "
+                f"voxels, the first at (slice {s}, y {y}, x {x})"
+            )
         if hi == lo:
-            return np.full_like(a, 0.5)
-        return (a - lo) / (hi - lo)
-
-    if per_slice:
-        return np.stack([_minmax(s) for s in data])
-    return _minmax(data)
+            part[...] = 0.5
+        else:
+            part -= lo
+            part /= hi - lo
+    return data
 
 
 # ---------------------------------------------------------------------------

@@ -334,7 +334,6 @@ class SegETNetwork:
                     self._bn_states[nd.name] = nd.unit.state
 
         self._op_caches: dict[str, tuple[int, int, int, int]] = {}  # per upsample node
-        self._logits_shape: tuple[int, ...] | None = None
 
     @property
     def parameters(self) -> dict[str, Parameter]:
@@ -390,9 +389,7 @@ class SegETNetwork:
             y, self._op_caches[nd.name] = ops.bilinear_upsample_2x_forward(x)
             return y
 
-        logits = self._walk(batch, step)
-        self._logits_shape = logits.shape
-        return logits
+        return self._walk(batch, step)
 
     def infer(self, batch: Tensor) -> np.ndarray:
         """The inference walk, BN on the running statistics, with none of
@@ -416,13 +413,9 @@ class SegETNetwork:
 
     def backward(self, grad_logits: Tensor) -> None:
         """Accumulates every registered parameter's gradient; input
-        gradients are not exposed."""
-        if self._logits_shape is None:
-            raise ValueError("backward requires a preceding forward pass")
-        if grad_logits.shape != self._logits_shape:
-            raise ValueError(
-                f"grad shape {grad_logits.shape} does not match logits {self._logits_shape}"
-            )
+        gradients are not exposed. The last node, head.logit, refuses a
+        missing forward or a gradient of the wrong shape before any
+        gradient is added."""
         # per slot, the gradients from its readers, latest reader first
         grads: dict[int, list[Tensor]] = {self._nodes[-1].output: [grad_logits]}
         for nd in reversed(self._nodes):

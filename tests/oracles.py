@@ -5,7 +5,8 @@ oracle is plain nested loops, the IoU oracle counts pixels per class
 with integer arithmetic, and the bilinear oracle evaluates the
 half-pixel formula pointwise. The inference BN oracle is pointwise
 NumPy arithmetic, and the inference walk oracle builds on it, reusing
-only the conv and upsample ops that the oracles above check.
+only the conv and upsample ops that the oracles above check. The
+normalize oracle is the min/max formula as plain out-of-place arithmetic.
 """
 
 import numpy as np
@@ -48,6 +49,20 @@ def weight_matrix_reference(mask, cap):
     fg = sum(int(v == 1) for v in np.ravel(mask))
     weight = max(min((np.size(mask) - fg) / fg, cap), 1.0) if fg else 1.0
     return np.array([[weight if v == 1 else 1.0 for v in row] for row in mask])
+
+
+def normalize_reference(data, per_slice):
+    """The min/max map onto [0, 1] as out-of-place arithmetic on a float64
+    copy, (a - lo) / (hi - lo), of the whole volume or of each slice
+    stacked; a constant part maps to 0.5."""
+    def minmax(a):
+        lo, hi = float(a.min()), float(a.max())
+        if hi == lo:
+            return np.full_like(a, 0.5)
+        return (a - lo) / (hi - lo)
+
+    a = np.asarray(data, dtype=np.float64)
+    return np.stack([minmax(s) for s in a]) if per_slice else minmax(a)
 
 
 def brute_force_iou_stats(pred, gt, num_classes):

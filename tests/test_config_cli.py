@@ -16,7 +16,7 @@ import pytest
 from seget import cli, ops, pool
 from seget.checkpoint import load_checkpoint, save_checkpoint
 from seget.config import PRESETS, RunConfig, dump_config, load_preset, parse_config, set_value
-from seget.data import CLASS_ORDER, read_pgm, read_ppm, write_mask_pgm
+from seget.data import CLASS_ORDER, mrc_bytes, read_pgm, read_ppm, write_mask_pgm
 from seget.errors import ConfigError
 from seget.model import SegETNetwork, build
 from seget.ops import sigmoid
@@ -367,6 +367,18 @@ class TestCliTrain:
         assert "1 non-finite voxels" in capsys.readouterr().err
         assert not (out / "manifest.txt").exists()
 
+    def test_volume_and_mask_of_other_shapes_exit_2_before_writing(self, synth_dir, tmp_path,
+                                                                   capsys):
+        mask = tmp_path / "mask.mrc"
+        mask.write_bytes(mrc_bytes(np.zeros((5, 32, 16), dtype=np.int8)))
+        out = tmp_path / "run"
+        rc = cli.main(["train", "--volume", str(synth_dir / "volume.mrc"), "--mask", str(mask),
+                       "--out-dir", str(out), *TRAIN_OVERRIDES])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "(5, 32, 32)" in err and "(5, 32, 16)" in err
+        assert not out.exists()
+
     def test_empty_validation_split_exits_2_before_writing(self, tmp_path, capsys):
         data = tmp_path / "three"
         assert cli.main(["synth", "--seed", "1", "--size", "32", "--slices", "3",
@@ -474,6 +486,7 @@ class TestCliPredict:
 
     # per 32 px slice: 16/4 has 25 windows (batches of 8, 8, 8 and 1), 16/12
     # and 8/6 end on edge-aligned windows (9 and 25), 32/32 has one
+    @pytest.mark.threaded_blas
     @pytest.mark.parametrize("window,stride,batches", [
         (16, 4, [8, 8, 8, 1]), (16, 12, [8, 1]), (8, 6, [8, 8, 8, 1]), (32, 32, [1]),
     ])
@@ -711,6 +724,36 @@ class TestCliPredict:
         assert "(slice 0, y 3, x 4)" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_window_beyond_the_slices_exits_2_naming_their_extents(
+            self, synth_dir, trained_dir, tmp_path, capsys):
+        out = tmp_path / "pred"
+        rc = cli.main(["predict", "--checkpoint", str(trained_dir / "best.ckpt"),
+                       "--volume", str(synth_dir / "volume.mrc"),
+                       "--out-dir", str(out), "--window", "64", "--stride", "64"])
+        assert rc == 2
+        assert "window 64 exceeds slice extents (32, 32)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_masks_of_1002_slices_are_evaluated_in_slice_order(self, trained_dir, tmp_path,
+                                                               monkeypatch, capsys):
+        """Slice s's mask holds s in binary. The names sort in slice order
+        (slice_1000.pgm used to sort before slice_101.pgm), so evaluate
+        against the same masks as one MRC scores 1."""
+        n = 1002
+        masks = ((np.arange(n)[:, None] >> np.arange(16)) & 1).reshape(n, 4, 4)
+        volume, gt = tmp_path / "volume.mrc", tmp_path / "gt.mrc"
+        volume.write_bytes(mrc_bytes(np.zeros((n, 4, 4))))
+        gt.write_bytes(mrc_bytes(masks))
+        monkeypatch.setattr(cli, "_predict_volume", lambda net, images, window, stride:
+                            masks * 0.9)
+        out = tmp_path / "pred"
+        assert cli.main(["predict", "--checkpoint", str(trained_dir / "best.ckpt"),
+                         "--volume", str(volume), "--out-dir", str(out),
+                         "--window", "4", "--stride", "4"]) == 0
+        assert (out / "slice_0000.pgm").is_file() and (out / "slice_1001.pgm").is_file()
+        assert cli.main(["evaluate", "--pred", str(out), "--gt", str(gt)]) == 0
+        assert "miou=1.000000" in capsys.readouterr().out
+
     def test_indivisible_window_exits_2(self, synth_dir, trained_dir, tmp_path):
         rc = cli.main([
             "predict", "--checkpoint", str(trained_dir / "best.ckpt"),
@@ -876,6 +919,17 @@ class TestCliFuse:
         cli.main(["fuse", "--probs", *paths, "--out-dir", str(out)])
         rgb = read_ppm((out / "fused_000.ppm").read_bytes())
         np.testing.assert_array_equal(rgb[0, 0], PALETTE[1])
+
+    def test_masks_of_1001_slices_are_named_in_slice_order(self, tmp_path):
+        """Odd slices are foreground (white), even ones background."""
+        n = 1001
+        np.save(tmp_path / "p.npy", np.where(np.arange(n) % 2, 0.9, 0.1).reshape(n, 1, 1))
+        out = tmp_path / "f"
+        assert cli.main(["fuse", "--probs", str(tmp_path / "p.npy"), "--out-dir", str(out)]) == 0
+        files = sorted(out.glob("fused_*.ppm"))
+        assert files[0].name == "fused_0000.ppm" and len(files) == n
+        assert [int(read_ppm(f.read_bytes())[0, 0, 0] == 255) for f in files] == \
+            [s % 2 for s in range(n)]
 
     def test_misaligned_exits_2(self, tmp_path):
         np.save(tmp_path / "a.npy", np.zeros((1, 4, 4)))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from seget.data import (
     CLASS_ORDER,
@@ -30,7 +31,7 @@ from seget.data import (
     write_mask_pgm,
 )
 from seget.errors import DataFormatError
-from oracles import weight_matrix_reference
+from oracles import normalize_reference, weight_matrix_reference
 
 
 def mrc_fixture(nx, ny, nz, mode=0, payload=b"", ext=b""):
@@ -139,6 +140,40 @@ class TestNormalize:
         out = normalize(parse_mrc(mrc_fixture(8, 8, 1, payload=payload)))
         assert out.min() == 0.0 and out.max() == 1.0
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), mode=st.sampled_from([0, 1, 2]), per_slice=st.booleans())
+    def test_bytes_equal_the_out_of_place_formula(self, data, mode, per_slice):
+        """int8, int16 and float32 volumes, some slices constant: the
+        in-place scaling writes the bytes of (a - lo) / (hi - lo)."""
+        dtype = {0: "<i1", 1: "<i2", 2: "<f4"}[mode]
+        shape = data.draw(hnp.array_shapes(min_dims=3, max_dims=3, max_side=5))
+        elements = (st.floats(width=32, allow_nan=False, allow_infinity=False)
+                    if mode == 2 else None)
+        a = data.draw(hnp.arrays(dtype, shape, elements=elements))
+        for s in data.draw(st.lists(st.integers(0, shape[0] - 1), max_size=shape[0])):
+            a[s] = a[s].flat[0]
+        vol = parse_mrc(mrc_fixture(shape[2], shape[1], shape[0], mode=mode,
+                                    payload=a.tobytes()))
+        out = normalize(vol, per_slice=per_slice)
+        assert out.dtype == np.float64
+        assert out.tobytes() == normalize_reference(a, per_slice).tobytes()
+
+    @pytest.mark.parametrize("per_slice", [False, True])
+    def test_holds_only_its_output(self, per_slice):
+        """The float64 copy is scaled in place: the peak is the output
+        (4 MiB here) plus under 1 MiB, not two or three copies."""
+        rng = np.random.default_rng(0)
+        payload = rng.integers(-128, 128, 8 * 256 * 256, dtype=np.int8).tobytes()
+        vol = parse_mrc(mrc_fixture(256, 256, 8, payload=payload))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = normalize(vol, per_slice=per_slice)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == 4 * 2**20
+        assert peak < out.nbytes + 2**20
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_voxels_are_data_errors(self, bad):

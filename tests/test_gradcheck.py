@@ -9,6 +9,8 @@ from seget import ops
 from seget.model import NetworkConfig, build
 from seget.tensor import ConvSpec, Parameter, Tensor
 
+pytestmark = pytest.mark.threaded_blas  # also run on the threaded BLAS path (CI)
+
 
 def test_relative_error_definition():
     assert gc.relative_error(np.array([1.0]), np.array([1.0])) == 0.0

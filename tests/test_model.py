@@ -220,6 +220,7 @@ class TestBackward:
         with pytest.raises(ValueError, match="does not match"):
             net.backward(Tensor(np.zeros((1, 1, 4, 4))))
 
+    @pytest.mark.threaded_blas
     def test_training_walk_runs_no_concat(self, monkeypatch):
         """A train-mode forward and backward of a depth-4 net call no concat
         op; their logits and gradients equal, bit for bit, an unpatched
@@ -290,6 +291,7 @@ def trained(cfg, shape, updates, seed=0):
     return net, Tensor(rng.random(shape).astype(cfg.np_dtype))
 
 
+@pytest.mark.threaded_blas
 class TestInfer:
     """net.infer gives the bits of the reference inference walk
     (oracles.infer_reference) and touches no state."""
@@ -442,6 +444,7 @@ class TestInfer:
             net.infer(Tensor(np.zeros((1, 2, 16, 16), dtype=np.float32)))
 
 
+@pytest.mark.threaded_blas
 class TestConvBnReluUnit:
     """A training unit keeps no ReLU mask: backward recomputes it from BN's
     xhat, and it must be forward's `out > 0` bit for bit."""

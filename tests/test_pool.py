@@ -13,6 +13,8 @@ from seget.tensor import ConvSpec, Parameter, Tensor
 from seget.train import TrainConfig, fit
 from test_train import make_patches
 
+pytestmark = pytest.mark.threaded_blas  # also run on the threaded BLAS path (CI)
+
 
 def recording_task(part):
     """A run_parts task that returns its items and its thread."""

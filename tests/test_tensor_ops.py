@@ -20,6 +20,8 @@ from seget import ops, pool
 from seget.tensor import ConvSpec, Parameter, Tensor
 from oracles import bilinear_half_pixel_point, bn_relu_infer_reference, naive_conv2d
 
+pytestmark = pytest.mark.threaded_blas  # also run on the threaded BLAS path (CI)
+
 
 def make_conv(spec, kernel_values, bias_values=None):
     kernel = Parameter(np.asarray(kernel_values, dtype=np.float64), "conv-kernel",

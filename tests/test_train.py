@@ -158,6 +158,7 @@ class TestFit:
 
         assert run("a").log_lines() == run("b").log_lines()
 
+    @pytest.mark.threaded_blas
     def test_bytes_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch):
         """Criterion 9's run with every conv split over its column blocks
         (blocks of 128 columns, so that the forward has several) writes the
