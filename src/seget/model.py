@@ -174,8 +174,7 @@ class _ConvBnRelu:
         statistics and ReLU in place on its output grid, as its epilogue."""
         return ops.conv2d_forward(
             x, self.spec, self.kernel, None,
-            epilogue=lambda grid: ops.batchnorm_relu_infer(grid, self.gamma, self.beta,
-                                                           self.state),
+            epilogue=ops.batchnorm_relu_infer(self.gamma, self.beta, self.state),
         )[0]
 
     def backward(self, g: Tensor) -> Tensor | list[Tensor]:

@@ -27,13 +27,18 @@ the one BN output computation of every path and of the ReLU mask.
 BN has one mode per walk. batchnorm_forward is the training BN: it
 normalizes by the batch statistics and updates the running ones.
 Inference runs the same conv and upsample ops and drops their caches at
-once; its BN is batchnorm_relu_infer, the epilogue that conv2d_forward
-runs in place on its output grid, normalizing by the running statistics.
+once; its BN is the epilogue that batchnorm_relu_infer returns, which
+conv2d_forward runs in place on its output grid, part by part,
+normalizing by the running statistics.
+
+Inside a pool scope the convs and the per-channel ops split over the
+worker threads with the bits of one thread (see the conv section).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -131,27 +136,59 @@ from .tensor import ConvSpec, Parameter, Tensor
 # benchmark read 5% slower in 9 of 10 pairs (2-core Xeon, OpenBLAS
 # 0.3.31).
 #
-# Inside a pool scope (seget.pool: train.fit and predict enter one) a
-# large conv runs its blocks on every worker, in contiguous parts of the
-# block list, each part making its own scratch (operand buffer, temporary,
-# stack, zero-extended last block). The forward's blocks write disjoint
-# grid columns and the backward's (phase, block) items disjoint
-# layout-gradient columns, so those bits do not depend on the split. The
-# kernel gradient of a phase is the chain ((0 + P_0) + P_1) + ... of its
-# blocks' partials P = S @ phase[:, block].T: every part keeps its
-# partials, and the calling thread adds them in phase-then-block order
-# after the parts end. So every output has the bits of one thread, at any
-# worker count. Only a conv of at least _SPLIT_MACS multiply-adds (grid
-# columns * OC * C * live taps) splits: below it the hand-off costs more
-# than the second core saves. At base 4 on 64^2 no conv reaches it (the
-# largest, fuse1.c, is 23.9M at batch 12), at base 16 on 128^2 most do.
-# Splitting every conv slowed a base-4, 64^2 training step by 4% (2-core
-# Xeon, one BLAS thread, 30 pairs).
+# Inside a pool scope (seget.pool: train.fit and predict enter one) the
+# training step runs on every worker, in contiguous parts, and every
+# output keeps the bits of one thread at any worker count:
+#
+# - A large conv splits its blocks. The forward cuts its grid into equal
+#   _COL_QUANTUM-aligned blocks, no wider than _BLOCK_COLS and as many as
+#   a multiple of the workers, so a grid that fits one block splits too;
+#   cutting a GEMM's columns leaves the bits of each column as they are.
+#   Each part's columns get the bias and the epilogue (inference's
+#   BN+ReLU) on the worker that ran their GEMMs, once the part's blocks
+#   are done: run per block instead, the epilogue's five passes made an
+#   inference at base 4 on 64^2 5% slower and one at base 16 on 128^2 3%
+#   slower (one BLAS thread, 30 and 16 pairs). The backward splits
+#   its (phase, block) items. Every part makes its own scratch (operand
+#   buffer, temporary, stack, zero-extended last block). The forward's
+#   blocks write disjoint grid columns and the backward's items disjoint
+#   layout-gradient columns. The kernel gradient of a phase is the chain
+#   ((0 + P_0) + P_1) + ... of its blocks' partials
+#   P = S @ phase[:, block].T: every part keeps its partials, and the
+#   calling thread adds them in phase-then-block order after the parts
+#   end. Only a conv of at least _SPLIT_MACS multiply-adds (grid columns *
+#   OC * C * live taps) splits: below it the hand-off costs more than the
+#   second core saves. At base 4 on 64^2 no conv reaches it (the largest,
+#   fuse1.c, is 23.9M at batch 12), at base 16 on 128^2 most do. Splitting
+#   every conv slowed a base-4, 64^2 training step by 4% (2-core Xeon, one
+#   BLAS thread, 30 pairs).
+# - The per-channel work splits by contiguous channel rows
+#   (_channel_parts): batch norm's forward and backward, the ReLU of the
+#   BN+ReLU pair, both directions of the upsample, and the copies into a
+#   conv's tap layout and into its zero-extended output gradient. Each
+#   channel's reductions (BN's mean, variance and gradient sums) run whole
+#   on one thread, so they have the bits of an unsplit call; the running
+#   statistics and the gamma/beta gradients are updated on the calling
+#   thread after the parts end. Only an op whose largest array holds at
+#   least _SPLIT_VALUES values splits: at batch 12, none does at base 4 on
+#   64^2 (the largest array, a tap layout, holds 610k values) and 110 of
+#   the 269 calls of a training step and an inference do at base 16 on
+#   128^2.
 _BLOCK_COLS = 4096
 _COL_QUANTUM = 64
 _MIN_GEMM_DEPTH = 16
 _STACK_ELEMS = 1 << 20
 _SPLIT_MACS = 1 << 26
+_SPLIT_VALUES = 1 << 20
+
+
+def _channel_parts(channels: int, values: int, task: Callable[[slice], object]) -> list:
+    """[task(rows), ...] over contiguous slices of range(channels) in order:
+    one slice per worker of the pool if the op's largest array holds at
+    least _SPLIT_VALUES values, else the one slice of every channel."""
+    if values < _SPLIT_VALUES:
+        return [task(slice(0, channels))]
+    return pool.run_parts(range(channels), lambda part: task(slice(part.start, part.stop)))
 
 
 def _quantize(cols: int) -> int:
@@ -333,11 +370,17 @@ def _tap_layout(sources: list[np.ndarray], spec: ConvSpec,
     geo = _geometry(n, h, w, spec)
     s = spec.stride
     layout = np.zeros((s, s, c, geo.length), dtype=np.result_type(*sources, kernel))
-    for src_index, view in _phase_views(layout, n, geo):
-        c0 = 0
-        for src in sources:
-            view[c0 : c0 + src.shape[0]] = src[(slice(None), slice(None), *src_index)]
-            c0 += src.shape[0]
+    views = list(_phase_views(layout, n, geo))
+    starts = list(itertools.accumulate((src.shape[0] for src in sources), initial=0))
+
+    def copy(rows: slice) -> None:
+        for src_index, view in views:
+            for src, c0, c1 in zip(sources, starts, starts[1:]):
+                lo, hi = max(c0, rows.start), min(c1, rows.stop)
+                if lo < hi:  # the source's channels lo:hi lie in this part's rows
+                    view[lo:hi] = src[(slice(lo - c0, hi - c0), slice(None), *src_index)]
+
+    _channel_parts(c, layout.size, copy)
     return layout, geo
 
 
@@ -347,31 +390,54 @@ def _split(geo: _Geometry, kernel: np.ndarray) -> bool:
     return geo.grid_cols * oc * c * len(geo.taps) >= _SPLIT_MACS
 
 
-def _tap_gemm(layout: np.ndarray, n: int, geo: _Geometry, kernel: np.ndarray) -> np.ndarray:
-    """The tap loop: the output grid (OC, columns), cropped by _crop."""
+def _blocks(m: int, split: bool) -> list[tuple[int, int]]:
+    """The grid's column blocks (m0, m1): _COL_QUANTUM-aligned, equal up
+    to one quantum, at most _BLOCK_COLS wide (or one quantum), and for a
+    split conv as many as a multiple of the workers, so that each worker
+    gets the same columns."""
+    quanta = m // _COL_QUANTUM
+    per = pool.workers() if split else 1
+    # ceil(m / _BLOCK_COLS) rounded up to a multiple of per
+    count = min(-(-m // _BLOCK_COLS // per) * per, quanta)
+    edges = [i * quanta // count * _COL_QUANTUM for i in range(count + 1)]
+    return list(zip(edges, edges[1:]))
+
+
+def _tap_gemm(layout: np.ndarray, n: int, geo: _Geometry, kernel: np.ndarray,
+              bias: np.ndarray | None, epilogue: Callable[[np.ndarray], None] | None,
+              ) -> np.ndarray:
+    """The tap loop: the output grid (OC, columns), cropped by _crop. Each
+    part's columns get the bias and then the epilogue right after the
+    part's GEMMs, on the thread that ran them."""
     hr, wr, m = geo.rows.pitch, geo.cols.pitch, geo.grid_cols
     oc, c = kernel.shape[:2]
     dtype = layout.dtype
     out = np.empty((oc, max(m, n * hr * wr)), dtype=dtype)
     out[:, m:] = 0
-    width = min(_BLOCK_COLS, m)
+    split = _split(geo, kernel)
+    blocks = _blocks(m, split)
+    width = max(m1 - m0 for m0, m1 in blocks)
     (first, kfirst), *rest = _tap_groups(geo, kernel)
     depth = len(first) * c
 
-    def run(blocks: range) -> None:
+    def run(part: list[tuple[int, int]]) -> None:
         # groups of more than one tap copy their slices into buf
         buf = np.empty((depth, width), dtype=dtype) if depth > c else None
         tmp = np.empty((oc, width), dtype=dtype) if rest else None
-        for m0 in blocks:
-            m1 = min(m, m0 + _BLOCK_COLS)
+        for m0, m1 in part:
             acc = out[:, m0:m1]
             _matmul(kfirst, _operand(layout, first, m0, m1, buf), acc)
             for group, kmat in rest:
                 t = tmp[:, : m1 - m0]
                 _matmul(kmat, _operand(layout, group, m0, m1, buf), t)
                 acc += t
+        done = out[:, part[0][0] : part[-1][1]]  # the part's columns, still on its worker
+        if bias is not None:
+            done += bias[:, None]
+        if epilogue is not None:
+            epilogue(done)
 
-    pool.run_parts(range(0, m, _BLOCK_COLS), run, split=_split(geo, kernel))
+    pool.run_parts(blocks, run, split=split)
     return out
 
 
@@ -394,18 +460,18 @@ def conv2d_forward(
     the cache keeps the input in the tap layout for the backward pass.
     The output is channel-major, a view of the cropped output grid.
 
-    epilogue, if given, runs in place on the whole grid (OC, columns)
-    after the bias and before the crop: a per-channel elementwise map such
-    as batchnorm_relu_infer, whose values on the cropped columns are unused.
+    epilogue, if given, runs in place on column ranges (OC, columns) of
+    the grid, one per part of the tap loop (see above), after the part's
+    GEMMs and bias add and on the thread that ran them; the ranges cover
+    the grid's first grid_cols columns once each, and so every output
+    pixel. It must be a per-channel elementwise map, such as the one
+    batchnorm_relu_infer returns: its values on the columns that the crop
+    drops are unused.
     """
     sources = x if isinstance(x, list) else [x]
     layout, geo = _tap_layout([t.data.transpose(1, 0, 2, 3) for t in sources], spec, kernel.value)
     n, _, h, w = sources[0].shape
-    grid = _tap_gemm(layout, n, geo, kernel.value)
-    if bias is not None:
-        grid += bias.value[:, None]
-    if epilogue is not None:
-        epilogue(grid)
+    grid = _tap_gemm(layout, n, geo, kernel.value, None if bias is None else bias.value, epilogue)
     split = tuple(t.shape[1] for t in x) if isinstance(x, list) else None
     return (Tensor(_crop(grid, n, geo).transpose(1, 0, 2, 3)),
             Conv2dCache(layout, (n, spec.in_channels, h, w), spec, split))
@@ -454,8 +520,13 @@ def conv2d_backward(
     oc, hr, wr = spec.out_channels, geo.rows.pitch, geo.cols.pitch
     margin = max(t.off for t in geo.taps)
     gz = np.zeros((oc, margin + length + _COL_QUANTUM), dtype=dtype)  # + a block's zero extension
-    gz[:, margin : margin + n * hr * wr].reshape(oc, n, hr, wr)[:, :, :oh, :ow] = (
-        g.transpose(1, 0, 2, 3))
+    pixels = gz[:, margin : margin + n * hr * wr].reshape(oc, n, hr, wr)[:, :, :oh, :ow]
+    gcm = g.transpose(1, 0, 2, 3)
+
+    def fill(rows: slice) -> None:
+        pixels[rows] = gcm[rows]
+
+    _channel_parts(oc, gz.size, fill)
     stack_rows = oc * max(len(ph.taps) for ph in geo.phases)
     width = min(_BLOCK_COLS, length,
                 max(_COL_QUANTUM, _STACK_ELEMS // stack_rows // _COL_QUANTUM * _COL_QUANTUM))
@@ -575,18 +646,29 @@ def batchnorm_forward(
     """Per-channel normalization over N,H,W by the batch statistics, which
     also update the running ones.
 
-    Works on the channel-major view of x: the centred input is built once
-    as a channel-major array that becomes xhat in place (the variance
-    comes from the dot products of its rows), and the output is
-    _bn_affine(xhat), a new array."""
+    Works on the channel-major view of x, in parts of whole channels: the
+    centred input is written once into a channel-major array that becomes
+    xhat in place (the variance comes from the dot products of its rows),
+    and the output is _bn_affine(xhat), a new array. The running
+    statistics are updated after the parts end."""
     c = x.shape[1]
     if gamma.value.shape != (c,) or beta.value.shape != (c,):
         raise ValueError(f"gamma/beta must have {c} elements")
     xcm = x.data.transpose(1, 0, 2, 3)
-    mean = xcm.mean(axis=(1, 2, 3))
-    xhat = np.subtract(xcm, mean.reshape(-1, 1, 1, 1), order="C")
-    rows = xhat.reshape(c, -1)
-    var = _row_dots(rows, rows) / rows.shape[1]
+    xhat = np.empty(xcm.shape, dtype=xcm.dtype)
+    y = np.empty(xcm.shape, dtype=np.result_type(xhat, gamma.value))
+
+    def normalize(rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        mean = xcm[rows].mean(axis=(1, 2, 3))
+        h = np.subtract(xcm[rows], mean.reshape(-1, 1, 1, 1), out=xhat[rows])
+        flat = h.reshape(h.shape[0], -1)
+        var = _row_dots(flat, flat) / flat.shape[1]
+        invstd = 1.0 / np.sqrt(var + BN_EPS)
+        h *= invstd.reshape(-1, 1, 1, 1)
+        _bn_affine(h, gamma.value[rows], beta.value[rows], out=y[rows])
+        return mean, var, invstd
+
+    mean, var, invstd = (np.concatenate(a) for a in zip(*_channel_parts(c, xcm.size, normalize)))
     m = BN_MOMENTUM
     state.running_mean = (m * state.running_mean + (1.0 - m) * mean).astype(
         state.running_mean.dtype
@@ -595,45 +677,57 @@ def batchnorm_forward(
         state.running_var.dtype
     )
     state.num_updates += 1
-    invstd = 1.0 / np.sqrt(var + BN_EPS)
-    xhat *= invstd.reshape(-1, 1, 1, 1)
-    return (Tensor(_bn_affine(xhat, gamma, beta).transpose(1, 0, 2, 3)),
-            BatchNormCache(xhat.transpose(1, 0, 2, 3), invstd))
+    return Tensor(y.transpose(1, 0, 2, 3)), BatchNormCache(xhat.transpose(1, 0, 2, 3), invstd)
 
 
-def _bn_affine(xhat: np.ndarray, gamma: Parameter, beta: Parameter,
+def _bn_affine(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                out: np.ndarray | None = None) -> np.ndarray:
     """xhat * gamma, then + beta, per channel of a channel-major array
     (C, ...), in the one order every BN path uses; out may be xhat."""
     per_channel = (-1,) + (1,) * (xhat.ndim - 1)
-    out = np.multiply(xhat, gamma.value.reshape(per_channel), out=out)
-    out += beta.value.reshape(per_channel)
+    out = np.multiply(xhat, gamma.reshape(per_channel), out=out)
+    out += beta.reshape(per_channel)
     return out
 
 
 def batchnorm_relu_forward(
     x: Tensor, gamma: Parameter, beta: Parameter, state: BatchNormState
 ) -> tuple[Tensor, BatchNormCache]:
-    """relu(batchnorm_forward(x)) in place on BN's output; the cache is
-    BN's alone, as the backward recomputes the mask from its xhat."""
+    """relu(batchnorm_forward(x)) in place on BN's output, in parts of
+    whole channels; the cache is BN's alone, as the backward recomputes
+    the mask from its xhat."""
     y, cache = batchnorm_forward(x, gamma, beta, state)
-    np.maximum(y.data, 0, out=y.data)
+    ycm = y.data.transpose(1, 0, 2, 3)
+    _channel_parts(ycm.shape[0], ycm.size, lambda rows: np.maximum(ycm[rows], 0, out=ycm[rows]))
     return y, cache
 
 
 def batchnorm_relu_infer(
-    h: np.ndarray, gamma: Parameter, beta: Parameter, state: BatchNormState
-) -> None:
-    """The inference BN, then ReLU, in place on a channel-major array
-    h (C, ...): (h - mean) * invstd with the running_statistics, then
-    _bn_affine, then np.maximum(h, 0) (which propagates NaN, where
-    relu_forward zeroes it)."""
+    gamma: Parameter, beta: Parameter, state: BatchNormState
+) -> Callable[[np.ndarray], None]:
+    """The inference BN, then ReLU, as a conv2d_forward epilogue: the map
+    that runs in place on a channel-major array h (C, ...), (h - mean) *
+    invstd with the running_statistics, then _bn_affine, then
+    np.maximum(h, 0) (which propagates NaN, where relu_forward zeroes
+    it). The statistics are computed here, once for all the parts of a
+    conv call."""
     mean, invstd = running_statistics(state)
-    per_channel = (-1,) + (1,) * (h.ndim - 1)
-    h -= mean.reshape(per_channel)
-    h *= invstd.reshape(per_channel)
-    _bn_affine(h, gamma, beta, out=h)
-    np.maximum(h, 0, out=h)
+
+    def bn_relu(h: np.ndarray) -> None:
+        per_channel = (-1,) + (1,) * (h.ndim - 1)
+        h -= mean.reshape(per_channel)
+        h *= invstd.reshape(per_channel)
+        _bn_affine(h, gamma.value, beta.value, out=h)
+        np.maximum(h, 0, out=h)
+
+    return bn_relu
+
+
+def _check_bn_grad(grad_out: Tensor, cache: BatchNormCache) -> None:
+    if grad_out.shape != cache.xhat.shape:
+        raise ValueError(
+            f"grad_out shape {grad_out.shape} does not match forward output {cache.xhat.shape}"
+        )
 
 
 def batchnorm_backward(
@@ -644,37 +738,61 @@ def batchnorm_backward(
     With the per-channel sums dbeta = sum(g) and dgamma = sum(g * xhat)
     over the m = N*H*W positions,
     dx = gamma * invstd * (g - dbeta/m - xhat * dgamma/m). Runs on
-    channel-major rows and returns a channel-major Tensor."""
+    channel-major rows, in parts of whole channels, and returns a
+    channel-major Tensor; the parameter gradients are added after the
+    parts end."""
     if cache is None:
         raise ValueError("batchnorm_backward requires the forward cache")
+    _check_bn_grad(grad_out, cache)
     n, c, h, w = grad_out.shape
-    g = grad_out.data.transpose(1, 0, 2, 3).reshape(c, -1)
-    xhat = cache.xhat.transpose(1, 0, 2, 3).reshape(c, -1)
-    dgamma = _row_dots(g, xhat)
-    dbeta = g.sum(axis=1)
+    g = grad_out.data.transpose(1, 0, 2, 3)
+    xhat = cache.xhat.transpose(1, 0, 2, 3)
+    dx = np.empty(g.shape, dtype=np.result_type(g, xhat))
+    scale = gamma.value * cache.invstd
+    m = n * h * w
+
+    def grads(rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        gr = g[rows].reshape(-1, m)
+        xr = xhat[rows].reshape(-1, m)
+        dgamma = _row_dots(gr, xr)
+        dbeta = gr.sum(axis=1)
+        d = np.multiply(xr, (-dgamma / m)[:, None], out=dx[rows].reshape(-1, m))
+        d += gr
+        d -= (dbeta / m)[:, None]
+        d *= scale[rows, None]
+        return dgamma, dbeta
+
+    dgamma, dbeta = (np.concatenate(a) for a in zip(*_channel_parts(c, g.size, grads)))
     gamma.add_grad(dgamma)
     beta.add_grad(dbeta)
-    m = g.shape[1]
-    dx = xhat * (-dgamma / m)[:, None]
-    dx += g
-    dx -= (dbeta / m)[:, None]
-    dx *= (gamma.value * cache.invstd)[:, None]
-    return Tensor(dx.reshape(c, n, h, w).transpose(1, 0, 2, 3))
+    return Tensor(dx.transpose(1, 0, 2, 3))
 
 
 def batchnorm_relu_backward(
     grad_out: Tensor, cache: BatchNormCache | None, gamma: Parameter, beta: Parameter
 ) -> Tensor:
-    """batchnorm_backward of grad_out masked by _relu_mask."""
+    """batchnorm_backward of grad_out masked by _relu_mask, which is
+    applied in parts of whole channels."""
     if cache is None:
         raise ValueError("batchnorm_relu_backward requires the forward cache")
-    return batchnorm_backward(Tensor(grad_out.data * _relu_mask(cache, gamma, beta)),
-                              cache, gamma, beta)
+    _check_bn_grad(grad_out, cache)
+    n, c, h, w = grad_out.shape
+    masked = np.empty((c, n, h, w), dtype=grad_out.data.dtype).transpose(1, 0, 2, 3)
+
+    def mask(rows: slice) -> None:
+        np.multiply(grad_out.data[:, rows], _relu_mask(cache, gamma, beta, rows),
+                    out=masked[:, rows])
+
+    _channel_parts(c, masked.size, mask)
+    return batchnorm_backward(Tensor(masked), cache, gamma, beta)
 
 
-def _relu_mask(cache: BatchNormCache, gamma: Parameter, beta: Parameter) -> np.ndarray:
-    """The forward's output > 0 (N, C, H, W), recomputed from xhat bit for bit."""
-    return (_bn_affine(cache.xhat.transpose(1, 0, 2, 3), gamma, beta) > 0).transpose(1, 0, 2, 3)
+def _relu_mask(cache: BatchNormCache, gamma: Parameter, beta: Parameter,
+               rows: slice = slice(None)) -> np.ndarray:
+    """The forward's output > 0 (N, C, H, W) on the channels rows,
+    recomputed from xhat bit for bit."""
+    xhat = cache.xhat.transpose(1, 0, 2, 3)[rows]
+    return (_bn_affine(xhat, gamma.value[rows], beta.value[rows]) > 0).transpose(1, 0, 2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -734,12 +852,18 @@ def _bilinear_matrix(n_in: int, dtype: np.dtype) -> np.ndarray:
 
 def bilinear_upsample_2x_forward(x: Tensor) -> tuple[Tensor, tuple[int, int, int, int]]:
     """Doubles H and W with half-pixel centers. The map is separable,
-    out = Wr @ x @ Wc^T, and the backward pass is its exact transpose by
+    out = Wr @ x @ Wc^T, run on the channel-major view in parts of whole
+    channels, and the backward pass is its exact transpose by
     construction; the cache is the input shape."""
-    _, _, h, w = x.shape
+    n, c, h, w = x.shape
     xcm = x.data.transpose(1, 0, 2, 3)
-    out = np.matmul(np.matmul(_bilinear_matrix(h, xcm.dtype), xcm),
-                    _bilinear_matrix(w, xcm.dtype).T)
+    rows_map, cols_map = _bilinear_matrix(h, xcm.dtype), _bilinear_matrix(w, xcm.dtype).T
+    out = np.empty((c, n, 2 * h, 2 * w), dtype=xcm.dtype)
+
+    def up(rows: slice) -> None:
+        np.matmul(np.matmul(rows_map, xcm[rows]), cols_map, out=out[rows])
+
+    _channel_parts(c, out.size, up)
     return Tensor(out.transpose(1, 0, 2, 3)), x.shape
 
 
@@ -747,13 +871,19 @@ def bilinear_upsample_2x_backward(grad_out: Tensor,
                                   cache: tuple[int, int, int, int] | None) -> Tensor:
     if cache is None:
         raise ValueError("bilinear_upsample_2x_backward requires the forward cache")
-    _, _, h, w = cache
-    if grad_out.shape[2:] != (2 * h, 2 * w):
+    n, c, h, w = cache
+    if grad_out.shape != (n, c, 2 * h, 2 * w):
         raise ValueError(
-            f"grad_out spatial {grad_out.shape[2:]} does not match upsampled {(2 * h, 2 * w)}"
+            f"grad_out shape {grad_out.shape} does not match upsampled {(n, c, 2 * h, 2 * w)}"
         )
     g = grad_out.data.transpose(1, 0, 2, 3)
-    gx = np.matmul(np.matmul(_bilinear_matrix(h, g.dtype).T, g), _bilinear_matrix(w, g.dtype))
+    rows_map, cols_map = _bilinear_matrix(h, g.dtype).T, _bilinear_matrix(w, g.dtype)
+    gx = np.empty((c, n, h, w), dtype=g.dtype)
+
+    def down(rows: slice) -> None:
+        np.matmul(np.matmul(rows_map, g[rows]), cols_map, out=gx[rows])
+
+    _channel_parts(c, g.size, down)
     return Tensor(gx.transpose(1, 0, 2, 3))
 
 

@@ -4,10 +4,14 @@ train.fit and cli's predict loop each enter scope(), which owns a pool of
 worker_count() - 1 threads for the length of the call: they start on the
 first task handed to them and are joined when the scope exits, so no
 thread outlives the call. run_parts splits a list of independent items
-(predict's windows, a conv's column blocks) into contiguous parts, one
-per worker, and calls task(part) on each: the calling thread runs the
-first part and the pool the others, and the results come back in part
-order.
+into contiguous parts, one per worker, and calls task(part) on each: the
+calling thread runs the first part and the pool the others, and the
+results come back in part order. The items are predict's windows, a
+conv's column blocks (forward) or (phase, block) items (backward), and
+the channel rows of the per-channel ops (batch norm, ReLU, upsample,
+and the copies into a conv's tap layout and into its zero-extended
+output gradient). workers() tells an op how many parts a split makes,
+so that it can cut its items to match.
 
 One rule keeps the cores from being oversubscribed: the parts of a split
 never see the pool, on any thread. The scope is a context variable, so
@@ -73,6 +77,13 @@ def scope() -> Iterator[None]:
     finally:
         _active.reset(token)
         pool.executor.shutdown(wait=True)
+
+
+def workers() -> int:
+    """The parts that a split run_parts call makes here of enough items:
+    the visible pool's worker count, else 1."""
+    pool = _active.get()
+    return pool.workers if pool is not None else 1
 
 
 def run_parts(items: Sequence, task: Callable[[Sequence], T], split: bool = True) -> list[T]:

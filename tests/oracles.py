@@ -116,6 +116,17 @@ def bn_relu_infer_reference(x, gamma, beta, mean, invstd):
     return np.maximum(h * per_channel(gamma) + per_channel(beta), 0)
 
 
+def epilogue_grid(blocks):
+    """The output grid that the blocks conv2d_forward hands its epilogue
+    are column slices of, and each block's (first, last + 1) grid
+    columns, in the order the epilogue saw them."""
+    grid = blocks[0].base
+    assert all(b.base is grid for b in blocks)
+    origin = grid.__array_interface__["data"][0]
+    starts = [(b.__array_interface__["data"][0] - origin) // grid.itemsize for b in blocks]
+    return grid, [(a, a + b.shape[1]) for a, b in zip(starts, blocks)]
+
+
 def infer_reference(net, x):
     """The logits of net's inference walk, by its node list: each conv is
     ops.conv2d_forward with no epilogue, followed in a BN unit by

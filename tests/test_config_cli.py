@@ -493,7 +493,10 @@ class TestCliPredict:
     def test_bytes_do_not_depend_on_the_worker_count(self, synth_dir, trained_dir, tmp_path,
                                                       monkeypatch, window, stride, batches):
         """1, 2 and 3 threads per batch of windows write the same PGM and
-        probs.npy bytes; 3 split a batch of 8 unevenly, into 2, 3 and 3."""
+        probs.npy bytes; 3 split a batch of 8 unevenly, into 2, 3 and 3.
+        With both split gates at 0, a batch of one window that is not split
+        splits its convs' blocks, each with its BN+ReLU epilogue, and its
+        upsamples' channels instead."""
         infer = SegETNetwork.infer
         calls = []
 
@@ -502,6 +505,8 @@ class TestCliPredict:
             return infer(net, batch)
 
         monkeypatch.setattr(SegETNetwork, "infer", recording_infer)
+        monkeypatch.setattr(ops, "_SPLIT_MACS", 0)
+        monkeypatch.setattr(ops, "_SPLIT_VALUES", 0)
         outs = {}
         for workers in (1, 2, 3):
             monkeypatch.setattr(pool, "worker_count", lambda: workers)

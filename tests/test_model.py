@@ -17,7 +17,7 @@ from seget.checkpoint import _array_items, load_checkpoint, save_checkpoint
 from seget.errors import DataFormatError
 from seget.model import NetworkConfig, SegETNetwork, _ConvBnRelu, build, probe_center_branches
 from seget.tensor import ConvSpec, Tensor
-from oracles import infer_reference
+from oracles import epilogue_grid, infer_reference
 
 TINY = NetworkConfig(base_filters=2, depth=1, dilation_rates=(1, 2), dtype="float64")
 SMALL = NetworkConfig(base_filters=4, depth=2, dilation_rates=(1, 2))
@@ -379,8 +379,9 @@ class TestInfer:
         """One infer of a depth-4 net calls ops.conv2d_forward once per conv
         (36) and ops.bilinear_upsample_2x_forward once per upsample node
         (7), and leaves the caches of the last forward as they were. Every
-        conv but the logit conv passes an epilogue, which gets the
-        (OC, columns) grid, and returns a view of that grid's crop."""
+        conv but the logit conv passes an epilogue, which gets (OC, columns)
+        blocks of the grid that cover its first grid_cols columns once
+        each, and returns a view of that grid's crop."""
         cfg = NetworkConfig(base_filters=2, depth=4)
         net, x = trained(cfg, (2, 1, 32, 32), 1)
         net.forward(x)
@@ -399,18 +400,23 @@ class TestInfer:
             if epilogue is None:
                 return conv(x, spec, kernel, bias)
             calls["epilogue"] += 1
-            grids = []
+            blocks = []
 
-            def seen(grid):
-                grids.append(grid)
-                epilogue(grid)
+            def seen(block):
+                blocks.append(block)
+                epilogue(block)
 
             y, cache = conv(x, spec, kernel, bias, epilogue=seen)
-            (grid,) = grids
+            grid, columns = epilogue_grid(blocks)
             n, _, h, w = (x[0] if isinstance(x, list) else x).shape
+            geo = ops._geometry(n, h, w, spec)
             assert grid.ndim == 2 and grid.shape[0] == spec.out_channels
+            covered = np.zeros(grid.shape[1], dtype=int)
+            for a, b in columns:
+                covered[a:b] += 1
+            assert (covered[: geo.grid_cols] == 1).all() and not covered[geo.grid_cols :].any()
             assert np.shares_memory(y.data, grid)
-            crop = ops._crop(grid, n, ops._geometry(n, h, w, spec))
+            crop = ops._crop(grid, n, geo)
             assert np.array_equal(y.data, crop.transpose(1, 0, 2, 3))
             return y, cache
 

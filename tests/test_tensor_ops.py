@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from seget import ops, pool
 from seget.tensor import ConvSpec, Parameter, Tensor
-from oracles import bilinear_half_pixel_point, bn_relu_infer_reference, naive_conv2d
+from oracles import bilinear_half_pixel_point, bn_relu_infer_reference, epilogue_grid, naive_conv2d
 
 pytestmark = pytest.mark.threaded_blas  # also run on the threaded BLAS path (CI)
 
@@ -255,8 +255,11 @@ class TestConv2dInfer:
 
     @pytest.mark.parametrize("spec, n, h, w, split", _MULTI_SOURCE_CASES)
     def test_epilogue_runs_on_the_biased_grid_that_the_output_crops(self, spec, n, h, w, split):
-        """The epilogue gets the whole (OC, columns) grid after the bias add
-        and works in place: the returned Tensor is a view of its crop."""
+        """The epilogue gets (OC, columns) blocks of the grid after the bias
+        add, one per part of the tap loop (so two on two workers, where the
+        grid has two quanta), which cover the grid's first grid_cols columns
+        once each, and works in place: the returned Tensor is a view of the
+        grid's crop."""
         rng = np.random.default_rng(sum(split) + n + 1)
         x = [Tensor(rng.standard_normal((n, c, h, w))) for c in split]
         kernel, bias = make_conv(
@@ -264,24 +267,34 @@ class TestConv2dInfer:
             rng.standard_normal((spec.out_channels, spec.in_channels, spec.kernel, spec.kernel)),
             rng.standard_normal(spec.out_channels),
         )
-        unbiased = []
-        ops.conv2d_forward(x, spec, kernel, None, epilogue=unbiased.append)
-        plain, _ = ops.conv2d_forward(x, spec, kernel, bias)
-        seen = []
-
-        def double(grid):
-            seen.append((grid, grid.copy()))
-            grid *= 2.0
-
-        y, _ = ops.conv2d_forward(x, spec, kernel, bias, epilogue=double)
-        (grid, received), = seen
         geo = ops._geometry(n, h, w, spec)
-        assert grid.ndim == 2 and grid.shape[0] == spec.out_channels
-        assert grid.shape[1] >= geo.grid_cols
-        assert np.array_equal(received, unbiased[0] + bias.value[:, None])
-        assert np.shares_memory(y.data, grid)
-        assert np.array_equal(y.data, ops._crop(grid, n, geo).transpose(1, 0, 2, 3))
-        assert np.array_equal(y.data, 2.0 * plain.data)
+        for workers in (1, 2):
+            seen, unbiased = [], []
+
+            def double(block):
+                seen.append((block, block.copy()))
+                block *= 2.0
+
+            with mock.patch.object(ops, "_BLOCK_COLS", 128), _split_everything(workers):
+                ops.conv2d_forward(x, spec, kernel, None,
+                                   epilogue=lambda b: unbiased.append((b, b.copy())))
+                plain, _ = ops.conv2d_forward(x, spec, kernel, bias)
+                y, _ = ops.conv2d_forward(x, spec, kernel, bias, epilogue=double)
+            grid, columns = epilogue_grid([block for block, _ in seen])
+            assert len(columns) == min(workers, geo.grid_cols // ops._COL_QUANTUM)
+            assert grid.ndim == 2 and grid.shape[0] == spec.out_channels
+            assert grid.shape[1] >= geo.grid_cols
+            edges = sorted(columns)
+            assert edges[0][0] == 0 and edges[-1][1] == geo.grid_cols
+            assert all(a[1] == b[0] for a, b in zip(edges, edges[1:]))
+            # the parts end in any order: match the blocks by their columns
+            _, unbiased_columns = epilogue_grid([block for block, _ in unbiased])
+            want = {a: u for (a, _), (_, u) in zip(unbiased_columns, unbiased)}
+            for (a, _), (_, received) in zip(columns, seen):
+                assert np.array_equal(received, want[a] + bias.value[:, None])
+            assert np.shares_memory(y.data, grid)
+            assert np.array_equal(y.data, ops._crop(grid, n, geo).transpose(1, 0, 2, 3))
+            assert np.array_equal(y.data, 2.0 * plain.data)
 
 
 class TestConv2dBackward:
@@ -520,10 +533,10 @@ class TestConvScratchMemory:
         y, cache = ops.conv2d_forward(Tensor(x.transpose(1, 0, 2, 3)), spec, kernel, bias)
         g = rng.standard_normal(y.shape).astype(dtype)
         gx = ops.conv2d_backward(Tensor(g), cache, spec, kernel, bias)
-        grids = []
+        blocks = []
         sources = [x[: c // 2], x[c // 2 :]] if c > 1 else [x]
         z, _ = ops.conv2d_forward([Tensor(a.transpose(1, 0, 2, 3)) for a in sources], spec,
-                                  kernel, None, epilogue=lambda grid: grids.append(grid.copy()))
+                                  kernel, None, epilogue=blocks.append)
         # the same halves as a list of sources for the training conv
         kernel2 = Parameter(kernel.value.copy(), "conv-kernel", regularized=True)
         y2, cache2 = ops.conv2d_forward([Tensor(a.transpose(1, 0, 2, 3)) for a in sources],
@@ -531,7 +544,7 @@ class TestConvScratchMemory:
         gx2 = ops.conv2d_backward(Tensor(g), cache2, spec, kernel2, None)
         return {"forward": y.data, "layout": cache.padded, "input grad": gx.data,
                 "kernel grad": kernel.grad, "bias grad": bias.grad, "infer": z.data,
-                "infer grid": grids[0], "sources forward": y2.data,
+                "infer grid": epilogue_grid(blocks)[0], "sources forward": y2.data,
                 "sources layout": cache2.padded, "sources kernel grad": kernel2.grad,
                 **{f"source {i} grad": piece.data for i, piece in enumerate(gx2)}}
 
@@ -547,8 +560,9 @@ class TestConvScratchMemory:
     @pytest.mark.parametrize("spec, shape", _SCRATCH_CASES)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_nan_filled_per_part_scratch_gives_the_same_bits(self, spec, shape, dtype):
-        """The same with every conv split over three workers in blocks of
-        16 columns, each part writing its own scratch and partials."""
+        """The same with every conv split over three workers in the
+        narrowest blocks (one quantum forward, 16 columns backward), each
+        part writing its own scratch and partials."""
         with mock.patch.object(ops, "_BLOCK_COLS", 16):
             want = self._run(spec, shape, dtype)
             with _split_everything(3) as threads, \
@@ -613,7 +627,7 @@ class TestConvSplit:
             out["forward"] = y.data
             out["infer"] = ops.conv2d_forward(
                 sources, spec, kernel, bias,
-                epilogue=lambda grid: ops.batchnorm_relu_infer(grid, gamma, beta, state))[0].data
+                epilogue=ops.batchnorm_relu_infer(gamma, beta, state))[0].data
             y2, cache2 = ops.conv2d_forward(sources, spec, kernel2, None)
             out["sources forward"] = y2.data
             for call in (1, 2):
@@ -655,6 +669,154 @@ class TestConvSplit:
             assert a.dtype == want[name].dtype and a.shape == want[name].shape, name
             assert (np.ascontiguousarray(a).tobytes()
                     == np.ascontiguousarray(want[name]).tobytes()), (workers, name)
+
+
+class TestOneBlockConvSplit:
+    def test_a_one_block_conv_above_the_gate_splits_its_columns(self):
+        """A conv of at least _SPLIT_MACS whose grid fits one _BLOCK_COLS
+        block still runs on both workers, in two balanced blocks, with the
+        bits of one worker."""
+        spec, (n, c, h, w) = ConvSpec(64, 64), (2, 64, 30, 30)
+        geo = ops._geometry(n, h, w, spec)
+        assert geo.grid_cols <= ops._BLOCK_COLS
+        assert geo.grid_cols * 64 * 64 * len(geo.taps) >= ops._SPLIT_MACS
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.standard_normal((c, n, h, w)).astype(np.float32).transpose(1, 0, 2, 3))
+        kernel = Parameter(rng.standard_normal((64, 64, 3, 3)).astype(np.float32),
+                           "conv-kernel", regularized=True)
+        threads = set()
+        matmul = ops._matmul
+
+        def recording_matmul(a, b, out):
+            threads.add(threading.get_ident())
+            matmul(a, b, out)
+
+        outputs = []
+        for workers in (1, 2):
+            threads.clear()
+            with mock.patch.object(ops, "_matmul", recording_matmul), \
+                    mock.patch.object(pool, "worker_count", lambda: workers), pool.scope():
+                outputs.append(np.ascontiguousarray(
+                    ops.conv2d_forward(x, spec, kernel, None)[0].data).tobytes())
+            assert len(threads) == workers
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("m, split, workers, widths", [
+        (6080, False, 2, [3008, 3072]),
+        (6016, True, 2, [3008, 3008]),
+        (3840, True, 2, [1920, 1920]),
+        (3840, True, 3, [1280, 1280, 1280]),
+        (8192, True, 3, [2688, 2752, 2752]),
+        (128, True, 3, [64, 64]),
+        (64, True, 2, [64]),
+    ])
+    def test_blocks_are_balanced_and_aligned(self, monkeypatch, m, split, workers, widths):
+        """The grid's blocks tile its columns in _COL_QUANTUM-aligned blocks
+        no wider than _BLOCK_COLS that differ by at most one quantum; a
+        split conv has a multiple of the workers of them where the columns
+        allow."""
+        monkeypatch.setattr(pool, "worker_count", lambda: workers)
+        with pool.scope():
+            blocks = ops._blocks(m, split)
+        assert blocks[0][0] == 0 and blocks[-1][1] == m
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        assert all(a % ops._COL_QUANTUM == 0 for a, _ in blocks)
+        assert sorted(b - a for a, b in blocks) == widths
+
+
+class TestChannelSplit:
+    """The per-channel ops split by contiguous channel rows over the
+    workers (with the _SPLIT_VALUES gate at 0) give the bits of one
+    worker: BN forward (output, xhat, invstd, running statistics and
+    num_updates), BN+ReLU forward and backward and BN backward (input
+    gradients, and gamma/beta gradients after two accumulating calls),
+    upsample forward and backward, and a conv on two sources, whose
+    channel boundary falls inside a part at some worker counts (tap
+    layout, zero-extended gradient, input and kernel gradients)."""
+
+    @staticmethod
+    def _run(c, dtype, workers):
+        rng = np.random.default_rng(c)
+        n, h, w = 2, 7, 6
+
+        def channel_major_input(*shape):
+            a = rng.standard_normal((shape[1], shape[0], *shape[2:])).astype(dtype)
+            return Tensor(a.transpose(1, 0, 2, 3))
+
+        def bn_parameters():
+            return (Parameter(rng.standard_normal(c).astype(dtype), "bn-gamma"),
+                    Parameter(rng.standard_normal(c).astype(dtype), "bn-beta"),
+                    ops.BatchNormState.create(c, dtype=dtype))
+
+        x = channel_major_input(n, c, h, w)
+        g = channel_major_input(n, c, h, w)
+        g_up = Tensor(rng.standard_normal((n, c, 2 * h, 2 * w)).astype(dtype))  # NCHW memory
+        (gamma, beta, state), (gamma2, beta2, state2) = bn_parameters(), bn_parameters()
+        spec = ConvSpec(c, c, stride=2)
+        kernel = Parameter(rng.standard_normal((c, c, 3, 3)).astype(dtype), "conv-kernel",
+                           regularized=True)
+        # channels 1:c are the second source: inside the first of two parts
+        sources = [Tensor(x.data[:, :1]), Tensor(x.data[:, 1:])] if c > 1 else [x]
+        out = {}
+        calls = []
+        run_parts = pool.run_parts
+
+        def recording_run_parts(items, task, split=True):
+            parts, threads = [], set()
+            if split:  # a channel split; the tiny conv's GEMMs do not split
+                calls.append((parts, threads))
+
+            def recorded(part):
+                parts.append(part)
+                threads.add(threading.get_ident())
+                return task(part)
+
+            return run_parts(items, recorded, split)
+
+        with mock.patch.object(ops, "_SPLIT_VALUES", 0), \
+                mock.patch.object(pool, "run_parts", recording_run_parts), \
+                mock.patch.object(pool, "worker_count", lambda: workers), pool.scope():
+            y, cache = ops.batchnorm_forward(x, gamma, beta, state)
+            y2, cache2 = ops.batchnorm_relu_forward(x, gamma2, beta2, state2)
+            for call in (1, 2):
+                out[f"bn grad {call}"] = ops.batchnorm_backward(g, cache, gamma, beta).data
+                out[f"bn relu grad {call}"] = ops.batchnorm_relu_backward(
+                    g, cache2, gamma2, beta2).data
+            up, up_cache = ops.bilinear_upsample_2x_forward(x)
+            out["upsample grad"] = ops.bilinear_upsample_2x_backward(g_up, up_cache).data
+            z, conv_cache = ops.conv2d_forward(sources, spec, kernel, None)
+            gz = Tensor(rng.standard_normal(z.shape).astype(dtype))
+            for i, piece in enumerate(ops.conv2d_backward(gz, conv_cache, spec, kernel, None)):
+                out[f"source {i} grad"] = piece.data
+        out.update({
+            "bn": y.data, "xhat": cache.xhat, "invstd": cache.invstd, "bn relu": y2.data,
+            "xhat relu": cache2.xhat, "upsample": up.data, "conv": z.data,
+            "layout": conv_cache.padded, "kernel grad": kernel.grad,
+            **{f"{name} {i}": getattr(p, "grad") for i, (name, p) in enumerate(
+                (("gamma", gamma), ("beta", beta), ("gamma", gamma2), ("beta", beta2)))},
+            **{f"{name} {i}": getattr(s, name) for i, s in enumerate((state, state2))
+               for name in ("running_mean", "running_var")},
+            "updates": np.array([state.num_updates, state2.num_updates]),
+        })
+        return out, calls
+
+    @pytest.mark.parametrize("c", [1, 4, 5])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bits_do_not_depend_on_the_worker_count(self, c, dtype):
+        want, calls = self._run(c, dtype, 1)
+        # BN forward, BN+ReLU forward (2), twice BN backward and BN+ReLU
+        # backward (2), upsample forward and backward, layout and gz copies
+        assert len(calls) == 13
+        assert all(len(parts) == len(threads) == 1 for parts, threads in calls)
+        for workers in (2, 3):
+            got, calls = self._run(c, dtype, workers)
+            assert len(calls) == 13
+            assert all(len(parts) == min(c, workers) for parts, _ in calls)
+            assert any(len(threads) > 1 for _, threads in calls) == (c > 1)
+            for name, a in got.items():
+                assert a.dtype == want[name].dtype and a.shape == want[name].shape, name
+                assert (np.ascontiguousarray(a).tobytes()
+                        == np.ascontiguousarray(want[name]).tobytes()), (workers, name)
 
 
 class TestConvAliasing:
@@ -747,9 +909,23 @@ class TestBatchNorm:
         beta = Parameter(np.zeros(2), "bn-beta")
         state = ops.BatchNormState.create(2, dtype=np.float64)
         h = x.transpose(1, 0, 2, 3).copy()
-        ops.batchnorm_relu_infer(h, gamma, beta, state)
+        ops.batchnorm_relu_infer(gamma, beta, state)(h)
         np.testing.assert_allclose(h.transpose(1, 0, 2, 3),
                                    np.maximum(x, 0) / np.sqrt(1.0 + ops.BN_EPS))
+
+    @pytest.mark.parametrize("backward", ["batchnorm_backward", "batchnorm_relu_backward"])
+    def test_backward_refuses_a_gradient_of_the_wrong_shape(self, backward):
+        """A gradient with the right channel count but another shape is
+        refused, naming both shapes, before any gradient is added."""
+        rng = np.random.default_rng(6)
+        gamma = Parameter(np.ones(2), "bn-gamma")
+        beta = Parameter(np.zeros(2), "bn-beta")
+        _, cache = ops.batchnorm_forward(Tensor(rng.standard_normal((2, 2, 6, 3))), gamma, beta,
+                                         ops.BatchNormState.create(2, dtype=np.float64))
+        with pytest.raises(ValueError, match=re.escape("(2, 2, 3, 6)") + ".*"
+                           + re.escape("(2, 2, 6, 3)")):
+            getattr(ops, backward)(Tensor(rng.standard_normal((2, 2, 3, 6))), cache, gamma, beta)
+        assert gamma.grad is None and beta.grad is None
 
     def test_running_stats_ema(self):
         rng = np.random.default_rng(2)
@@ -775,7 +951,7 @@ class TestBatchNorm:
             state = ops.BatchNormState.create(3, dtype=dtype)
             train, _ = ops.batchnorm_relu_forward(x, gamma, beta, state)
             infer = np.ascontiguousarray(x.data.transpose(1, 0, 2, 3))
-            ops.batchnorm_relu_infer(infer, gamma, beta, state)
+            ops.batchnorm_relu_infer(gamma, beta, state)(infer)
             assert infer.dtype == dtype
             np.testing.assert_allclose(infer.transpose(1, 0, 2, 3), train.data,
                                        rtol=tol, atol=tol)
@@ -809,7 +985,7 @@ class TestBatchNorm:
         expected = bn_relu_infer_reference(x, gamma.value, beta.value,
                                            *ops.running_statistics(state))
         h = np.ascontiguousarray(x.transpose(1, 0, 2, 3))
-        ops.batchnorm_relu_infer(h, gamma, beta, state)
+        ops.batchnorm_relu_infer(gamma, beta, state)(h)
         assert h.dtype == expected.dtype == dtype
         assert np.array_equal(h.transpose(1, 0, 2, 3), expected)
 
@@ -887,7 +1063,7 @@ class TestBatchNormRelu:
         expected = bn_relu_infer_reference(x.data, gamma.value, beta.value,
                                            *ops.running_statistics(state))
         h = np.ascontiguousarray(x.data.transpose(1, 0, 2, 3))
-        ops.batchnorm_relu_infer(h, gamma, beta, state)
+        ops.batchnorm_relu_infer(gamma, beta, state)(h)
         y = h.transpose(1, 0, 2, 3)
         assert np.all(y[:, 0] == 0) and np.all(y[:, 1] == 0.5)
         assert (y[:, 2:] > 0).any() and (y[:, 2:] == 0).any()
@@ -1074,6 +1250,13 @@ class TestBilinearUpsample:
         g = ops.bilinear_upsample_2x_backward(Tensor(np.ones((1, 1, 10, 14))), cache)
         assert g.data.sum() == pytest.approx(4 * 5 * 7, abs=1e-9)
 
+
+    def test_backward_refuses_a_gradient_of_the_wrong_shape(self):
+        """N and C count as well as H and W; the error names both shapes."""
+        _, cache = ops.bilinear_upsample_2x_forward(Tensor(np.ones((2, 3, 4, 4))))
+        with pytest.raises(ValueError, match=re.escape("(5, 7, 8, 8)") + ".*"
+                           + re.escape("(2, 3, 8, 8)")):
+            ops.bilinear_upsample_2x_backward(Tensor(np.ones((5, 7, 8, 8))), cache)
 
     def test_interpolation_matrices_are_shared_and_read_only(self):
         m = ops._bilinear_matrix(5, np.dtype(np.float32))

@@ -161,8 +161,10 @@ class TestFit:
     @pytest.mark.threaded_blas
     def test_bytes_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch):
         """Criterion 9's run with every conv split over its column blocks
-        (blocks of 128 columns, so that the forward has several) writes the
-        same log and checkpoint bytes at 1 and 2 workers."""
+        (blocks of 128 columns, so that the forward has several) and every
+        per-channel op (BN, ReLU, upsample, the layout and gradient copies)
+        over its channels writes the same log and checkpoint bytes at 1 and
+        2 workers."""
         threads = set()
         matmul = ops._matmul
 
@@ -172,6 +174,7 @@ class TestFit:
 
         monkeypatch.setattr(ops, "_matmul", recording_matmul)
         monkeypatch.setattr(ops, "_SPLIT_MACS", 0)
+        monkeypatch.setattr(ops, "_SPLIT_VALUES", 0)
         monkeypatch.setattr(ops, "_BLOCK_COLS", 128)
         net_cfg = NetworkConfig(base_filters=2, depth=2, dilation_rates=(1, 2))
         out = {}
